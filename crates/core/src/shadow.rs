@@ -2,6 +2,7 @@
 //! idealized whole-memory shadow.
 
 use crate::config::ShadowMode;
+use crate::stats::UntaintKind;
 use crate::taint::TaintMask;
 use spt_mem::LineEvent;
 use std::collections::HashMap;
@@ -149,6 +150,16 @@ impl ShadowTaint {
             ShadowMode::None => ShadowTaint::Off,
             ShadowMode::L1 => ShadowTaint::L1(ShadowL1::new(64)),
             ShadowMode::Mem => ShadowTaint::Mem(ShadowMem::new()),
+        }
+    }
+
+    /// The mechanism credited when this shadow's byte taint untaints a
+    /// load's output, or `None` when no memory taint is tracked.
+    pub fn untaint_kind(&self) -> Option<UntaintKind> {
+        match self {
+            ShadowTaint::Off => None,
+            ShadowTaint::L1(_) => Some(UntaintKind::ShadowL1),
+            ShadowTaint::Mem(_) => Some(UntaintKind::ShadowMem),
         }
     }
 

@@ -13,6 +13,7 @@
 //! hardware.
 
 use crate::engine::{PhysReg, Seq};
+use spt_isa::Inst;
 
 /// The STT s-taint tracker.
 ///
@@ -67,6 +68,17 @@ impl SttTracker {
     /// Whether `phys` is currently s-tainted.
     pub fn tainted(&self, phys: PhysReg) -> bool {
         self.yrot[phys as usize].is_some_and(|root| root > self.frontier)
+    }
+
+    /// Whether every operand of `inst` that leaks at the VP (addresses,
+    /// predicates, jump targets) is free of s-taint — STT's counterpart of
+    /// `TaintEngine::leak_operands_clear`. `srcs` holds the renamed source
+    /// registers in [`Inst::sources`] order.
+    pub fn leak_operands_clear(&self, inst: &Inst, srcs: &[Option<PhysReg>; 3]) -> bool {
+        inst.sources()
+            .iter()
+            .zip(srcs)
+            .all(|((_, role), p)| !role.leaks_at_vp() || p.is_none_or(|p| !self.tainted(p)))
     }
 
     /// Advances the VP frontier: every instruction with `seq <= frontier`
@@ -124,6 +136,27 @@ mod tests {
         // Physical register 1 is recycled for a non-speculative value.
         stt.rename_alu(&[None, None], Some(1));
         assert!(!stt.tainted(1));
+    }
+
+    #[test]
+    fn leak_operands_ignore_data_operands() {
+        use spt_isa::{MemSize, Reg};
+        let mut stt = SttTracker::new(8);
+        stt.rename_load(4, 1);
+        // Store: base (address) in phys 2, data in phys 1 (s-tainted).
+        let st = Inst::Store {
+            src: Reg::R1,
+            base: Reg::R2,
+            index: Reg::R0,
+            scale: 0,
+            offset: 0,
+            size: MemSize::B8,
+        };
+        assert!(stt.leak_operands_clear(&st, &[Some(2), Some(1), None]));
+        // The same s-tainted register as the base address blocks it.
+        assert!(!stt.leak_operands_clear(&st, &[Some(1), Some(2), None]));
+        stt.advance_vp_frontier(4);
+        assert!(stt.leak_operands_clear(&st, &[Some(1), Some(2), None]));
     }
 
     #[test]

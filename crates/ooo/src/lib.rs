@@ -46,6 +46,7 @@
 
 pub mod config;
 pub mod machine;
+pub mod protection;
 pub mod rename;
 pub mod rob;
 mod sched;
@@ -55,6 +56,7 @@ pub mod validate;
 
 pub use config::CoreConfig;
 pub use machine::{Machine, RunLimits};
+pub use protection::Protection;
 pub use stats::{MachineStats, RunOutcome, SimError, StopReason};
 pub use telemetry::Telemetry;
 pub use validate::SecurityValidator;

@@ -10,10 +10,13 @@
 //!
 //! # Protection semantics (paper §6)
 //!
+//! The defence state and its leak gate live in [`crate::protection`]; this
+//! module decides *when* the pipeline consults them.
+//!
 //! * **Transmitters** (loads and stores, §9.1) may only issue when the
 //!   protection policy allows: always (Unsafe), at the VP (SecureBaseline),
-//!   when their leaking operands are untainted or at the VP (SPT), or when
-//!   their operands are not s-tainted (STT).
+//!   or at the VP or once their leaking operands are untainted (SPT) or
+//!   free of s-taint (STT).
 //! * **Branch-resolution effects** (redirect/squash, and the confirmation
 //!   that unblocks the VP of younger instructions) are deferred until the
 //!   predicate/target is untainted or the branch reaches the VP — STT's
@@ -28,16 +31,14 @@
 //!   likewise deferred until the implicit branch is public.
 
 use crate::config::CoreConfig;
+use crate::protection::Protection;
 use crate::rename::RegisterFile;
 use crate::rob::{ExecState, RobEntry};
 use crate::sched::{RetiredLoadTable, Scheduler};
 use crate::stats::{MachineStats, RunOutcome, SimError, StopReason};
 use crate::telemetry::Telemetry;
 use crate::validate::SecurityValidator;
-use spt_core::{
-    Config, ProtectionKind, RenameInfo, Seq, ShadowTaint, StlCondition, SttTracker, TaintEngine,
-    TaintMask, UntaintKind,
-};
+use spt_core::{Config, Seq, ShadowTaint, StlCondition, TaintMask, UntaintKind};
 use spt_frontend::{Checkpoint, FetchPrediction, Frontend, PredictInfo};
 use spt_isa::{Inst, Program, Reg};
 use spt_mem::{Cache, HierarchyConfig, Level, MemSystem, Tlb};
@@ -158,6 +159,10 @@ struct Fetched {
     fetch_cycle: u64,
 }
 
+/// A load overlaps an older store that does not fully cover it: the load
+/// waits for the store to drain (see `Machine::store_forward`).
+struct PartialOverlap;
+
 /// The simulated machine.
 ///
 /// # Example
@@ -185,7 +190,9 @@ struct Fetched {
 #[derive(Clone, Debug)]
 pub struct Machine {
     core: CoreConfig,
-    prot: Config,
+    cfg: Config,
+    /// The protection scheme's taint state and leak gate.
+    prot: Protection,
     program: Program,
     mem: MemSystem,
     fe: Frontend,
@@ -193,9 +200,6 @@ pub struct Machine {
     rob: VecDeque<RobEntry>,
     rob_pos: RobIndex,
     fetch_q: VecDeque<Fetched>,
-    engine: Option<TaintEngine>,
-    stt: Option<SttTracker>,
-    shadow: ShadowTaint,
     fetch_pc: u64,
     fetch_stalled: bool,
     next_seq: Seq,
@@ -258,36 +262,14 @@ impl Machine {
 
     /// Creates a machine over a pre-built (possibly pre-initialized) memory
     /// system.
-    pub fn with_memory(
-        program: Program,
-        core: CoreConfig,
-        prot: Config,
-        mem: MemSystem,
-    ) -> Machine {
-        let engine = match prot.kind {
-            ProtectionKind::Spt => {
-                let mut e = TaintEngine::new(prot, core.num_phys);
-                // The pinned zero register is architecturally the constant
-                // 0, i.e. program text: public under any SPT variant that
-                // tracks taint. SecureBaseline deliberately tracks nothing.
-                if prot.untaint.forward() {
-                    let _ = &mut e; // phys 0 handled below via rename of const
-                }
-                Some(e)
-            }
-            _ => None,
-        };
-        let stt = match prot.kind {
-            ProtectionKind::Stt => Some(SttTracker::new(core.num_phys)),
-            _ => None,
-        };
-        let shadow = match prot.kind {
-            ProtectionKind::Spt => ShadowTaint::new(prot.shadow),
-            _ => ShadowTaint::new(spt_core::ShadowMode::None),
-        };
-        let mut m = Machine {
+    pub fn with_memory(program: Program, core: CoreConfig, cfg: Config, mem: MemSystem) -> Machine {
+        let h = mem.config();
+        let worst_mem_latency =
+            h.l1.hit_latency + h.l2.hit_latency + h.l3.hit_latency + h.dram_latency;
+        Machine {
             core,
-            prot,
+            cfg,
+            prot: Protection::new(&cfg, core.num_phys),
             program,
             mem,
             fe: Frontend::new(),
@@ -295,9 +277,6 @@ impl Machine {
             rob: VecDeque::with_capacity(core.rob_size),
             rob_pos: RobIndex::default(),
             fetch_q: VecDeque::with_capacity(core.fetch_queue),
-            engine,
-            stt,
-            shadow,
             fetch_pc: 0,
             fetch_stalled: false,
             next_seq: 1,
@@ -323,43 +302,17 @@ impl Machine {
             ifetch_stall_until: 0,
             last_fetch_line: u64::MAX,
             dtlb: Tlb::new(64, 4, 30),
-            worst_mem_latency: 0,
+            worst_mem_latency,
             transmit_obs: spt_util::Fnv64::new(),
             trace: TraceHandle::disabled(),
             taint_src: Vec::new(),
             telemetry: None,
-        };
-        {
-            let h = m.mem.config();
-            m.worst_mem_latency =
-                h.l1.hit_latency + h.l2.hit_latency + h.l3.hit_latency + h.dram_latency;
-        }
-        m.mark_zero_reg_public();
-        m
-    }
-
-    /// Marks physical register 0 (the architectural constant zero) public:
-    /// its value is program text. SecureBaseline tracks no taint, so there
-    /// it stays tainted and transmitters wait for the VP regardless.
-    fn mark_zero_reg_public(&mut self) {
-        if let Some(e) = &mut self.engine {
-            if self.prot.untaint.forward() {
-                // A synthetic Const rename on phys 0, immediately retired.
-                e.rename(RenameInfo {
-                    seq: 0,
-                    class: spt_isa::InstClass::Const,
-                    srcs: [None, None, None],
-                    dest: Some(0),
-                    load_bytes: None,
-                });
-                e.retire(0);
-            }
         }
     }
 
     /// The protection configuration.
     pub fn protection(&self) -> &Config {
-        &self.prot
+        &self.cfg
     }
 
     /// Enables the §8 security validator: every subsequent untaint decision
@@ -367,7 +320,7 @@ impl Machine {
     /// meaningful for SPT configurations (the validator models SPT's
     /// semantics).
     pub fn enable_validation(&mut self) {
-        if self.engine.is_some() {
+        if self.prot.engine().is_some() {
             self.validator = Some(SecurityValidator::new());
         }
     }
@@ -423,12 +376,7 @@ impl Machine {
     /// the persistence check for declared secrets. Always true when no
     /// memory taint is tracked.
     pub fn shadow_byte_tainted(&self, addr: u64) -> bool {
-        self.shadow.probe_byte(addr)
-    }
-
-    /// Number of live taint-engine slots (diagnostics).
-    pub fn engine_live_slots(&self) -> Option<usize> {
-        self.engine.as_ref().map(|e| e.live_slots())
+        self.prot.shadow_byte_tainted(addr)
     }
 
     /// Number of tracked recently retired loads (diagnostics; bounded by
@@ -447,11 +395,6 @@ impl Machine {
             "side index out of sync for seq {seq}"
         );
         idx
-    }
-
-    /// Read access to the validator (diagnostics).
-    pub fn validator_ref(&self) -> Option<&SecurityValidator> {
-        self.validator.as_ref()
     }
 
     /// Finalizes and returns the validator's findings: the number of
@@ -531,7 +474,7 @@ impl Machine {
         h.write_u64(self.cycle);
         h.write_u64(self.stats.retired);
         h.write_u64(self.stats.squashes);
-        if let Some(e) = &self.engine {
+        if let Some(e) = self.prot.engine() {
             h.write_u64(e.stats().decision_digest());
         }
         h.finish()
@@ -541,7 +484,7 @@ impl Machine {
     pub fn stats(&self) -> MachineStats {
         let mut s = self.stats.clone();
         s.cycles = self.cycle;
-        if let Some(e) = &self.engine {
+        if let Some(e) = self.prot.engine() {
             s.spt = e.stats().clone();
         }
         s
@@ -585,21 +528,13 @@ impl Machine {
         self.untaint_step();
         // Resolve validator checks before rename can recycle registers:
         // the attacker observes leaked values when they leak, not later.
-        if let Some(mut v) = self.validator.take() {
-            let rf = &self.rf;
-            v.drain(|p| if rf.is_ready(p) { Some(rf.read(p)) } else { None });
-            self.validator = Some(v);
-        }
+        self.drain_validator();
         self.writeback();
         self.resolve();
         self.issue();
         self.rename();
         self.fetch();
-        if let Some(mut v) = self.validator.take() {
-            let rf = &self.rf;
-            v.drain(|p| if rf.is_ready(p) { Some(rf.read(p)) } else { None });
-            self.validator = Some(v);
-        }
+        self.drain_validator();
         if let Some(t) = &mut self.telemetry {
             t.rob_occupancy.record(self.rob.len() as u64);
             t.rs_occupancy.record(self.rs_used as u64);
@@ -608,6 +543,13 @@ impl Machine {
             t.mshr_inflight.record(self.mem.l1().mshrs_in_flight(self.cycle) as u64);
         }
         self.cycle += 1;
+    }
+
+    fn drain_validator(&mut self) {
+        if let Some(v) = self.validator.as_mut() {
+            let rf = &self.rf;
+            v.drain(|p| if rf.is_ready(p) { Some(rf.read(p)) } else { None });
+        }
     }
 
     // ------------------------------------------------------------------
@@ -626,7 +568,7 @@ impl Machine {
     /// entries are removed), so the persistent cursor visits each entry
     /// O(1) times total instead of once per cycle.
     fn update_vp(&mut self) {
-        let futuristic = matches!(self.prot.threat, spt_core::ThreatModel::Futuristic);
+        let futuristic = matches!(self.cfg.threat, spt_core::ThreatModel::Futuristic);
         let len = self.rob.len();
         let mut newly_vp = std::mem::take(&mut self.sched.newly_vp);
         newly_vp.clear();
@@ -669,15 +611,7 @@ impl Machine {
             self.sched.ok_count += 1;
         }
         let frontier = self.sched.ok_count.checked_sub(1).map(|i| self.rob[i].seq);
-
-        if let Some(engine) = &mut self.engine {
-            for &seq in &newly_vp {
-                engine.declassify_vp(seq);
-            }
-        }
-        if let (Some(stt), Some(f)) = (&mut self.stt, frontier) {
-            stt.advance_vp_frontier(f);
-        }
+        self.prot.advance_vp(&newly_vp, frontier);
         self.sched.newly_vp = newly_vp;
     }
 
@@ -750,20 +684,11 @@ impl Machine {
                 let bytes = head.mem.bytes;
                 let value = head.mem.value;
                 let data_idx = head.inst.store_data_src().expect("store has data operand");
-                let data_mask = self
-                    .engine
-                    .as_ref()
-                    .and_then(|e| e.operand_mask(seq, data_idx))
-                    .unwrap_or(TaintMask::ALL);
                 match self.mem.write_timed(addr, value, bytes, self.cycle) {
                     Err(_busy) => break, // retry next cycle
                     Ok(out) => {
-                        for ev in out.l1_events {
-                            self.shadow.on_l1_event(ev);
-                        }
-                        // §6.8 store rule ①: the written bytes take the data
-                        // operand's taint.
-                        self.shadow.store(addr, bytes, data_mask);
+                        self.prot.on_l1_events(out.l1_events);
+                        let data_mask = self.prot.drain_store(seq, data_idx, addr, bytes);
                         if let Some(v) = self.validator.as_mut() {
                             let mut public_mask = 0u8;
                             for i in 0..bytes.min(8) {
@@ -789,36 +714,19 @@ impl Machine {
                 self.sched.loads.remove(&seq);
                 self.sched.fwd_loads.remove(&seq);
                 self.sched.shadow_wait.remove(&seq);
+                self.lq_used -= 1;
+                self.track_retired_load(&head);
             }
             if head.is_store() {
                 self.sched.stores.remove(&seq);
+                self.sq_used -= 1;
             }
             self.emit_inst(&head, Some(self.cycle), None);
-            if let Some(t) = &mut self.telemetry {
-                if head.inst.is_transmitter() {
-                    t.xmit_delay.record(head.timing.xmit_delay_cycles);
-                }
-            }
             if head.inst.is_transmitter() {
                 self.transmit_obs.write_u64(head.pc);
                 self.transmit_obs.write_u64(self.cycle);
-            }
-            if head.is_load()
-                && head.mem.fwd_from.is_none()
-                && head.mem.accessed
-                && !matches!(self.prot.shadow, spt_core::ShadowMode::None)
-            {
-                if let (Some(addr), Some((_, phys, _))) = (head.mem.addr, head.dest) {
-                    if self
-                        .engine
-                        .as_ref()
-                        .is_some_and(|e| e.dest_mask(seq).is_some_and(|m| m.is_clear()))
-                        || head.mem.range_cleared
-                    {
-                        // Already public: nothing more to track.
-                    } else {
-                        self.retired_loads.insert(phys, addr, head.mem.bytes);
-                    }
+                if let Some(t) = &mut self.telemetry {
+                    t.xmit_delay.record(head.timing.xmit_delay_cycles);
                 }
             }
             if head.inst.is_control_flow() {
@@ -837,17 +745,9 @@ impl Machine {
             if let Some((_, _new, old)) = head.dest {
                 self.rf.release(old);
             }
-            if let Some(engine) = &mut self.engine {
-                engine.retire(seq);
-            }
+            self.prot.retire(seq);
             if let Some(v) = self.validator.as_mut() {
                 v.on_retire(seq);
-            }
-            if head.is_load() {
-                self.lq_used -= 1;
-            }
-            if head.is_store() {
-                self.sq_used -= 1;
             }
             self.stats.retired += 1;
             self.last_retire_cycle = self.cycle;
@@ -858,53 +758,70 @@ impl Machine {
         }
     }
 
+    /// Records a retired, non-forwarded load whose output is still tainted
+    /// under a memory shadow: a later broadcast untainting the output
+    /// proves the read bytes public (§6.8 load rule ②, see `untaint_step`).
+    fn track_retired_load(&mut self, head: &RobEntry) {
+        let Protection::Spt { engine, shadow } = &self.prot else { return };
+        if matches!(shadow, ShadowTaint::Off)
+            || head.mem.fwd_from.is_some()
+            || !head.mem.accessed
+            || head.mem.range_cleared
+            || engine.dest_mask(head.seq).is_some_and(|m| m.is_clear())
+        {
+            return;
+        }
+        if let (Some(addr), Some((_, phys, _))) = (head.mem.addr, head.dest) {
+            self.retired_loads.insert(phys, addr, head.mem.bytes);
+        }
+    }
+
     // ------------------------------------------------------------------
     // Untaint propagation + store-to-load untaint gating
     // ------------------------------------------------------------------
 
     fn untaint_step(&mut self) {
-        if self.engine.is_some() {
-            let step = self.engine.as_mut().expect("checked").step();
-            if let Some(v) = self.validator.as_mut() {
-                for &(phys, kind) in &step.broadcasts {
-                    v.on_broadcast(phys, kind);
-                }
+        let Protection::Spt { engine, shadow } = &mut self.prot else { return };
+        let step = engine.step();
+        if let Some(v) = self.validator.as_mut() {
+            for &(phys, kind) in &step.broadcasts {
+                v.on_broadcast(phys, kind);
             }
-            if self.trace.enabled() || self.telemetry.is_some() {
-                for &(phys, kind) in &step.broadcasts {
-                    let cycle = self.cycle;
-                    // Producer seq of the episode being closed (0 when the
-                    // birth was never observed, e.g. sink attached late).
-                    let seq = self.taint_src.get(phys as usize).copied().unwrap_or(0);
-                    if let Some(sink) = self.trace.sink() {
-                        sink.event(
-                            cycle,
-                            &SptTraceEvent::Untaint { phys, mechanism: kind.label(), seq },
-                        );
-                    }
-                    if let Some(t) = &mut self.telemetry {
-                        t.on_untaint(phys, cycle);
-                    }
-                }
-            }
-            if !matches!(self.prot.shadow, spt_core::ShadowMode::None) {
-                for &(phys, _) in &step.broadcasts {
-                    if let Some(r) = self.retired_loads.take(phys) {
-                        self.shadow.clear_range(r.addr, r.bytes);
-                        if let Some(v) = self.validator.as_mut() {
-                            v.on_mem_inferable(r.addr, r.bytes, phys);
-                        }
-                    }
-                }
-            }
-            self.stl_pass();
         }
+        if self.trace.enabled() || self.telemetry.is_some() {
+            for &(phys, kind) in &step.broadcasts {
+                let cycle = self.cycle;
+                // Producer seq of the episode being closed (0 when the
+                // birth was never observed, e.g. sink attached late).
+                let seq = self.taint_src.get(phys as usize).copied().unwrap_or(0);
+                if let Some(sink) = self.trace.sink() {
+                    sink.event(
+                        cycle,
+                        &SptTraceEvent::Untaint { phys, mechanism: kind.label(), seq },
+                    );
+                }
+                if let Some(t) = &mut self.telemetry {
+                    t.on_untaint(phys, cycle);
+                }
+            }
+        }
+        if !matches!(shadow, ShadowTaint::Off) {
+            for &(phys, _) in &step.broadcasts {
+                if let Some(r) = self.retired_loads.take(phys) {
+                    shadow.clear_range(r.addr, r.bytes);
+                    if let Some(v) = self.validator.as_mut() {
+                        v.on_mem_inferable(r.addr, r.bytes, phys);
+                    }
+                }
+            }
+        }
+        self.stl_pass();
     }
 
     /// Recomputes `STLPublic` for forwarding pairs and propagates untaint
     /// across public pairs (§6.7 rules ① and ②).
     fn stl_pass(&mut self) {
-        let Some(engine) = &mut self.engine else { return };
+        let Protection::Spt { engine, shadow } = &mut self.prot else { return };
         if !engine.config().untaint.forward() {
             return;
         }
@@ -968,14 +885,14 @@ impl Machine {
         // it — the read bytes are inferable, so the L1 taint can clear.
         // This is what lets hot, repeatedly-leaked data (jump tables,
         // indices, node pointers) become public in the shadow L1.
-        if !matches!(self.prot.shadow, spt_core::ShadowMode::None) {
+        if !matches!(shadow, ShadowTaint::Off) {
             // Candidates: completed, non-forwarded loads (writeback adds
             // them to `shadow_wait`); they wait here until they reach the
             // VP and their output untaints, or leave the ROB.
             snapshot.clear();
             snapshot.extend(self.sched.shadow_wait.iter().copied());
             for &seq in &snapshot {
-                let i = self.rob_index(seq).expect("tracked load is in the ROB");
+                let i = self.rob_pos.get(seq).expect("tracked load is in the ROB");
                 let e = &self.rob[i];
                 debug_assert!(
                     e.is_load() && e.state == ExecState::Done && e.mem.fwd_from.is_none()
@@ -984,11 +901,10 @@ impl Machine {
                     continue;
                 }
                 let Some(addr) = e.mem.addr else { continue };
-                let engine = self.engine.as_ref().expect("stl_pass runs with engine");
                 if engine.dest_mask(seq).is_some_and(|m| m.is_clear()) {
                     let bytes = e.mem.bytes;
                     let phys = e.dest.map(|(_, p, _)| p);
-                    self.shadow.clear_range(addr, bytes);
+                    shadow.clear_range(addr, bytes);
                     self.rob[i].mem.range_cleared = true;
                     self.sched.shadow_wait.remove(&seq);
                     if let (Some(v), Some(p)) = (self.validator.as_mut(), phys) {
@@ -1041,22 +957,10 @@ impl Machine {
             }
             if is_load {
                 self.finish_load_taint(i, seq);
-                if self.rob[i].mem.fwd_from.is_none() && self.stl_shadow_tracking() {
-                    self.sched.shadow_wait.insert(seq);
-                }
             }
         }
         due.clear();
         self.sched.due = due;
-    }
-
-    /// Whether the post-hoc §6.8 rule-② pass at the end of `stl_pass` can
-    /// ever run (it needs the taint engine, forward untainting and a
-    /// shadow memory) — the gate for tracking `shadow_wait` candidates.
-    fn stl_shadow_tracking(&self) -> bool {
-        self.engine.is_some()
-            && self.prot.untaint.forward()
-            && !matches!(self.prot.shadow, spt_core::ShadowMode::None)
     }
 
     /// Wakes instructions waiting on `phys` after it was written: each
@@ -1079,57 +983,40 @@ impl Machine {
         self.sched.waiters[phys as usize] = list;
     }
 
-    /// Applies the §6.8 load rules when a load's data arrives.
+    /// Applies the §6.8 load rules when a load's data arrives, and queues
+    /// non-forwarded loads for the post-hoc rule ② at the end of
+    /// `stl_pass` when that pass can run (forward untainting and a shadow).
     fn finish_load_taint(&mut self, idx: usize, seq: Seq) {
-        let Some(engine) = &mut self.engine else { return };
+        let Protection::Spt { engine, shadow } = &mut self.prot else { return };
         let e = &self.rob[idx];
-        if e.mem.fwd_from.is_some() || e.mem.oblivious {
-            // Forwarded data flows via STLPublic (stl_pass); oblivious loads
-            // bypassed the cache entirely, so the shadow has nothing to say.
+        if e.mem.fwd_from.is_some() {
+            // Forwarded data flows via STLPublic (stl_pass).
+            return;
+        }
+        if engine.config().untaint.forward() && !matches!(shadow, ShadowTaint::Off) {
+            self.sched.shadow_wait.insert(seq);
+        }
+        if e.mem.oblivious {
+            // Bypassed the cache entirely, so the shadow has nothing to say.
             return;
         }
         let Some(addr) = e.mem.addr else { return };
         let bytes = e.mem.bytes;
-        let kind = match self.prot.shadow {
-            spt_core::ShadowMode::L1 => UntaintKind::ShadowL1,
-            spt_core::ShadowMode::Mem => UntaintKind::ShadowMem,
-            spt_core::ShadowMode::None => UntaintKind::ShadowL1, // unused
-        };
-        let dest_clear = engine.dest_mask(seq).is_some_and(|m| m.is_clear());
-        if dest_clear {
+        if engine.dest_mask(seq).is_some_and(|m| m.is_clear()) {
             // Load rule ②: the output is already public, so the read bytes
             // are provably public.
-            self.shadow.clear_range(addr, bytes);
-            let phys = self.rob[idx].dest.map(|(_, p, _)| p);
-            if let (Some(v), Some(p)) = (self.validator.as_mut(), phys) {
+            shadow.clear_range(addr, bytes);
+            if let (Some(v), Some((_, p, _))) = (self.validator.as_mut(), e.dest) {
                 v.on_mem_inferable(addr, bytes, p);
             }
-        } else {
-            let mask = self.shadow.read_mask(addr, bytes);
-            engine.set_load_output(seq, mask, kind);
+        } else if let Some(kind) = shadow.untaint_kind() {
+            engine.set_load_output(seq, shadow.read_mask(addr, bytes), kind);
         }
     }
 
     // ------------------------------------------------------------------
     // Resolution (branches + deferred memory-order violations)
     // ------------------------------------------------------------------
-
-    fn resolution_allowed(&self, e: &RobEntry) -> bool {
-        match self.prot.kind {
-            ProtectionKind::Unsafe => true,
-            ProtectionKind::Spt => {
-                e.vp || self.engine.as_ref().is_some_and(|eng| eng.leak_operands_clear(e.seq))
-            }
-            ProtectionKind::Stt => {
-                e.vp || {
-                    let stt = self.stt.as_ref().expect("stt tracker");
-                    e.inst.sources().iter().enumerate().all(|(i, (_, role))| {
-                        !role.leaks_at_vp() || e.srcs[i].is_none_or(|p| !stt.tainted(p))
-                    })
-                }
-            }
-        }
-    }
 
     fn resolve(&mut self) {
         let mut snapshot = std::mem::take(&mut self.sched.resolve_snapshot);
@@ -1153,7 +1040,7 @@ impl Machine {
             if e.state != ExecState::Done {
                 continue;
             }
-            if !self.resolution_allowed(e) {
+            if !self.prot.may_leak(e) {
                 self.note_resolution_deferred(i);
                 continue;
             }
@@ -1171,12 +1058,8 @@ impl Machine {
                 } else {
                     self.stats.indirect_mispredicts += 1;
                 }
-                self.squash_after(seq);
                 self.fe.recover(&cp, pc, &inst, taken);
-                self.fetch_pc = actual;
-                self.fetch_stalled = false;
-                self.fetch_q.clear();
-                self.stats.squashes += 1;
+                self.squash_after(seq, actual);
                 return true;
             }
         }
@@ -1193,47 +1076,26 @@ impl Machine {
             let i = self.rob_index(seq).expect("tracked store is in the ROB");
             let e = &self.rob[i];
             let Some(victim_seq) = e.mem.pending_violation else { continue };
-            let allowed = match self.prot.kind {
-                ProtectionKind::Unsafe => true,
-                ProtectionKind::Spt => {
-                    e.vp || self.engine.as_ref().is_some_and(|eng| eng.leak_operands_clear(e.seq))
-                }
-                ProtectionKind::Stt => {
-                    e.vp || {
-                        let stt = self.stt.as_ref().expect("stt");
-                        e.inst.sources().iter().enumerate().all(|(i, (_, role))| {
-                            !role.leaks_at_vp() || e.srcs[i].is_none_or(|p| !stt.tainted(p))
-                        })
-                    }
-                }
-            };
-            if !allowed {
+            if !self.prot.may_leak(e) {
                 self.note_resolution_deferred(i);
                 continue;
             }
-            let Some(vi) = self.rob_index(victim_seq) else {
-                self.rob[i].mem.pending_violation = None;
-                self.sched.pending_viol.remove(&seq);
-                continue;
-            };
-            let victim = &self.rob[vi];
-            let pc = victim.pc;
-            let cp = victim.checkpoint.clone();
-            self.squash_after(victim_seq - 1);
+            let victim = self
+                .rob_index(victim_seq)
+                .map(|v| (self.rob[v].pc, self.rob[v].checkpoint.clone()));
             self.rob[i].mem.pending_violation = None;
             self.sched.pending_viol.remove(&seq);
+            let Some((pc, cp)) = victim else { continue };
             self.fe.restore(&cp);
-            self.fetch_pc = pc;
-            self.fetch_stalled = false;
-            self.fetch_q.clear();
-            self.stats.squashes += 1;
+            self.squash_after(victim_seq - 1, pc);
             return true;
         }
         false
     }
 
-    /// Removes every entry younger than `seq`, rolling back renaming.
-    fn squash_after(&mut self, seq: Seq) {
+    /// Removes every entry younger than `seq`, rolling back renaming, and
+    /// refetches from `fetch_pc`.
+    fn squash_after(&mut self, seq: Seq, fetch_pc: u64) {
         while let Some(tail) = self.rob.back() {
             if tail.seq <= seq {
                 break;
@@ -1274,12 +1136,14 @@ impl Machine {
         }
         snapshot.clear();
         self.sched.squash_snapshot = snapshot;
-        if let Some(engine) = &mut self.engine {
-            engine.squash_from(seq + 1);
-        }
+        self.prot.squash_from(seq + 1);
         if let Some(v) = self.validator.as_mut() {
             v.on_squash(seq + 1);
         }
+        self.fetch_pc = fetch_pc;
+        self.fetch_stalled = false;
+        self.fetch_q.clear();
+        self.stats.squashes += 1;
     }
 
     // ------------------------------------------------------------------
@@ -1288,22 +1152,6 @@ impl Machine {
 
     fn srcs_ready(&self, e: &RobEntry) -> bool {
         e.srcs.iter().flatten().all(|&p| self.rf.is_ready(p))
-    }
-
-    /// The protection gate for transmitters (loads/stores).
-    fn transmit_allowed(&self, e: &RobEntry) -> bool {
-        match self.prot.kind {
-            ProtectionKind::Unsafe => true,
-            ProtectionKind::Spt => {
-                e.vp || self.engine.as_ref().is_some_and(|eng| eng.leak_operands_clear(e.seq))
-            }
-            ProtectionKind::Stt => {
-                let stt = self.stt.as_ref().expect("stt tracker");
-                e.inst.sources().iter().enumerate().all(|(i, (_, role))| {
-                    !role.leaks_at_vp() || e.srcs[i].is_none_or(|p| !stt.tainted(p))
-                })
-            }
-        }
     }
 
     fn issue(&mut self) {
@@ -1329,10 +1177,10 @@ impl Machine {
                     if mem_issued >= self.core.mem_ports {
                         continue;
                     }
-                    if !self.transmit_allowed(&self.rob[i]) {
+                    if !self.prot.may_leak(&self.rob[i]) {
                         // SDO-style policy (§6.3): execute the unsafe load
                         // obliviously instead of delaying it.
-                        if self.prot.policy == spt_core::Policy::Oblivious
+                        if self.cfg.policy == spt_core::Policy::Oblivious
                             && self.try_issue_load_oblivious(i)
                         {
                             issued += 1;
@@ -1351,7 +1199,7 @@ impl Machine {
                     if mem_issued >= self.core.mem_ports {
                         continue;
                     }
-                    if !self.transmit_allowed(&self.rob[i]) {
+                    if !self.prot.may_leak(&self.rob[i]) {
                         self.note_xmit_blocked(i);
                         continue;
                     }
@@ -1363,9 +1211,8 @@ impl Machine {
                     // Variable-time instructions are transmitters when the
                     // configuration protects that channel (§2.1).
                     if self.rob[i].inst.is_variable_time()
-                        && self.prot.protected()
-                        && self.prot.variable_time_transmitters
-                        && !self.transmit_allowed(&self.rob[i])
+                        && self.cfg.variable_time_transmitters
+                        && !self.prot.may_leak(&self.rob[i])
                     {
                         self.note_xmit_blocked(i);
                         continue;
@@ -1386,12 +1233,7 @@ impl Machine {
     /// Effective address of a load/store entry (operands must be ready).
     fn effective_addr(&self, e: &RobEntry) -> u64 {
         match e.inst {
-            Inst::Load { index, scale, offset, .. } => {
-                let base = self.read_src(e, 0);
-                let idx = if index.is_zero() { 0 } else { self.read_src(e, 1) };
-                base.wrapping_add(idx << scale).wrapping_add(offset as u64)
-            }
-            Inst::Store { index, scale, offset, .. } => {
+            Inst::Load { index, scale, offset, .. } | Inst::Store { index, scale, offset, .. } => {
                 let base = self.read_src(e, 0);
                 let idx = if index.is_zero() { 0 } else { self.read_src(e, 1) };
                 base.wrapping_add(idx << scale).wrapping_add(offset as u64)
@@ -1430,14 +1272,48 @@ impl Machine {
         e.result = result;
         e.actual_next = actual_next;
         e.actual_taken = actual_taken;
+        self.mark_issued(i, self.cycle + latency);
+    }
+
+    /// Moves the entry at ROB index `i` out of the reservation station; it
+    /// completes at `done_at`.
+    fn mark_issued(&mut self, i: usize, done_at: u64) {
+        let e = &mut self.rob[i];
         e.state = ExecState::Issued;
-        e.done_at = self.cycle + latency;
+        e.done_at = done_at;
         e.timing.issue_cycle = Some(self.cycle);
         e.in_rs = false;
-        let (seq, done_at) = (e.seq, e.done_at);
+        let seq = e.seq;
         self.rs_used -= 1;
         self.sched.ready.remove(&seq);
         self.sched.completions.push(Reverse((done_at, seq)));
+    }
+
+    /// Store-queue search for a `bytes`-byte load at `addr`, youngest older
+    /// store first. Returns the forwarding store and the forwarded value
+    /// when one fully covers the load, `None` when no older store with a
+    /// known address overlaps it (unknown addresses speculate no-alias),
+    /// and [`PartialOverlap`] when the load must wait for a store to drain.
+    fn store_forward(
+        &self,
+        seq: Seq,
+        addr: u64,
+        bytes: u64,
+    ) -> Result<Option<(Seq, u64)>, PartialOverlap> {
+        for &s_seq in self.sched.stores.range(..seq).rev() {
+            let s = &self.rob[self.rob_index(s_seq).expect("tracked store is in the ROB")];
+            let Some(sa) = s.mem.addr else { continue };
+            if RobEntry::range_covers(sa, s.mem.bytes, addr, bytes) {
+                let shifted = s.mem.value >> (8 * (addr - sa));
+                let masked =
+                    if bytes == 8 { shifted } else { shifted & ((1u64 << (8 * bytes)) - 1) };
+                return Ok(Some((s_seq, masked)));
+            }
+            if RobEntry::ranges_overlap(sa, s.mem.bytes, addr, bytes) {
+                return Err(PartialOverlap);
+            }
+        }
+        Ok(None)
     }
 
     /// Attempts to issue the load at ROB index `i`. Returns `false` if it
@@ -1445,84 +1321,32 @@ impl Machine {
     fn try_issue_load(&mut self, i: usize) -> bool {
         let e = &self.rob[i];
         debug_assert!(e.is_load());
-        let addr = self.effective_addr(e);
-        let bytes = e.mem.bytes;
-        let seq = e.seq;
-
-        // Store-queue search, youngest older store first.
-        let mut forward: Option<(Seq, u64)> = None;
-        for &s_seq in self.sched.stores.range(..seq).rev() {
-            let j = self.rob_index(s_seq).expect("tracked store is in the ROB");
-            let s = &self.rob[j];
-            let Some(sa) = s.mem.addr else { continue }; // unknown address: speculate no-alias
-            if RobEntry::range_covers(sa, s.mem.bytes, addr, bytes) {
-                // Full cover: forward the store's data.
-                let shifted = s.mem.value >> (8 * (addr - sa));
-                let masked =
-                    if bytes == 8 { shifted } else { shifted & ((1u64 << (8 * bytes)) - 1) };
-                forward = Some((s.seq, masked));
-                break;
-            }
-            if RobEntry::ranges_overlap(sa, s.mem.bytes, addr, bytes) {
-                // Partial overlap: wait until the store drains to memory.
-                return false;
-            }
-        }
-
-        let protected = self.prot.protected();
+        let (addr, bytes, seq) = (self.effective_addr(e), e.mem.bytes, e.seq);
+        let Ok(forward) = self.store_forward(seq, addr, bytes) else { return false };
         // Address translation (the TLB channel, §2.1/§7.4): charged before
         // the cache access, covered by the same transmitter gate.
         let tlb_extra = self.dtlb.translate(addr);
-        let (value, done_at, fwd_from) = match forward {
-            Some((s_seq, v)) => {
-                if protected {
-                    // STT/SPT forwarding security: the load always accesses
-                    // the cache so the forwarding decision is invisible.
-                    match self.mem.access_timed(addr, self.cycle, false) {
-                        Err(_busy) => return false,
-                        Ok(out) => {
-                            for ev in out.l1_events {
-                                self.shadow.on_l1_event(ev);
-                            }
-                            (v, out.done_at + tlb_extra, Some(s_seq))
-                        }
-                    }
-                } else {
-                    (v, self.cycle + 1 + tlb_extra, Some(s_seq))
-                }
+        let (value, done_at) = match forward {
+            Some((_, v)) if self.cfg.protected() => {
+                // STT/SPT forwarding security: the load always accesses the
+                // cache so the forwarding decision is invisible.
+                let Ok(out) = self.mem.access_timed(addr, self.cycle, false) else { return false };
+                self.prot.on_l1_events(out.l1_events);
+                (v, out.done_at + tlb_extra)
             }
-            None => match self.mem.read_timed(addr, bytes, self.cycle) {
-                Err(_busy) => return false,
-                Ok((v, out)) => {
-                    for ev in out.l1_events {
-                        self.shadow.on_l1_event(ev);
-                    }
-                    (v, out.done_at + tlb_extra, None)
-                }
-            },
+            Some((_, v)) => (v, self.cycle + 1 + tlb_extra),
+            None => {
+                let Ok((v, out)) = self.mem.read_timed(addr, bytes, self.cycle) else {
+                    return false;
+                };
+                self.prot.on_l1_events(out.l1_events);
+                (v, out.done_at + tlb_extra)
+            }
         };
-
-        if fwd_from.is_some() {
+        if forward.is_some() {
             self.stats.stl_forwards += 1;
         }
-        if let Some(v) = self.validator.as_mut() {
-            v.on_mem_addr(seq, addr);
-        }
-        let e = &mut self.rob[i];
-        e.mem.addr = Some(addr);
-        e.mem.value = value;
-        e.mem.fwd_from = fwd_from;
-        e.mem.accessed = true;
-        e.state = ExecState::Issued;
-        e.done_at = done_at;
-        e.timing.issue_cycle = Some(self.cycle);
-        e.in_rs = false;
-        self.rs_used -= 1;
-        self.sched.ready.remove(&seq);
-        self.sched.completions.push(Reverse((done_at, seq)));
-        if fwd_from.is_some() {
-            self.sched.fwd_loads.insert(seq);
-        }
+        self.issue_load(i, addr, value, forward.map(|(s, _)| s), done_at);
         true
     }
 
@@ -1534,55 +1358,34 @@ impl Machine {
     fn try_issue_load_oblivious(&mut self, i: usize) -> bool {
         let e = &self.rob[i];
         debug_assert!(e.is_load());
-        if !self.srcs_ready(e) {
-            return false;
-        }
-        let addr = self.effective_addr(e);
-        let bytes = e.mem.bytes;
-        let seq = e.seq;
-
-        let mut forward: Option<(Seq, u64)> = None;
-        for &s_seq in self.sched.stores.range(..seq).rev() {
-            let j = self.rob_index(s_seq).expect("tracked store is in the ROB");
-            let s = &self.rob[j];
-            let Some(sa) = s.mem.addr else { continue };
-            if RobEntry::range_covers(sa, s.mem.bytes, addr, bytes) {
-                let shifted = s.mem.value >> (8 * (addr - sa));
-                let masked =
-                    if bytes == 8 { shifted } else { shifted & ((1u64 << (8 * bytes)) - 1) };
-                forward = Some((s.seq, masked));
-                break;
-            }
-            if RobEntry::ranges_overlap(sa, s.mem.bytes, addr, bytes) {
-                return false; // partial overlap: fall back to delaying
-            }
-        }
+        let (addr, bytes, seq) = (self.effective_addr(e), e.mem.bytes, e.seq);
+        let Ok(forward) = self.store_forward(seq, addr, bytes) else { return false };
         let value = match forward {
             Some((_, v)) => v,
             None => self.mem.store_ref().read(addr, bytes),
         };
+        self.rob[i].mem.oblivious = true;
+        let done_at = self.cycle + self.worst_mem_latency;
+        self.issue_load(i, addr, value, forward.map(|(s, _)| s), done_at);
+        true
+    }
 
+    /// Records the issued load at ROB index `i`: its address, its value and
+    /// the store it forwarded from.
+    fn issue_load(&mut self, i: usize, addr: u64, value: u64, fwd_from: Option<Seq>, done_at: u64) {
+        let seq = self.rob[i].seq;
         if let Some(v) = self.validator.as_mut() {
             v.on_mem_addr(seq, addr);
         }
-        let done_at = self.cycle + self.worst_mem_latency;
-        let e = &mut self.rob[i];
-        e.mem.addr = Some(addr);
-        e.mem.value = value;
-        e.mem.fwd_from = forward.map(|(s, _)| s);
-        e.mem.accessed = true;
-        e.mem.oblivious = true;
-        e.state = ExecState::Issued;
-        e.done_at = done_at;
-        e.timing.issue_cycle = Some(self.cycle);
-        e.in_rs = false;
-        self.rs_used -= 1;
-        self.sched.ready.remove(&seq);
-        self.sched.completions.push(Reverse((done_at, seq)));
-        if forward.is_some() {
+        let m = &mut self.rob[i].mem;
+        m.addr = Some(addr);
+        m.value = value;
+        m.fwd_from = fwd_from;
+        m.accessed = true;
+        if fwd_from.is_some() {
             self.sched.fwd_loads.insert(seq);
         }
-        true
+        self.mark_issued(i, done_at);
     }
 
     fn issue_store(&mut self, i: usize) {
@@ -1622,19 +1425,12 @@ impl Machine {
         let e = &mut self.rob[i];
         e.mem.addr = Some(addr);
         e.mem.value = value;
-        e.state = ExecState::Issued;
-        e.done_at = self.cycle + 1 + tlb_extra;
-        e.timing.issue_cycle = Some(self.cycle);
-        e.in_rs = false;
-        let done_at = e.done_at;
         if let Some(v) = victim {
             e.mem.pending_violation = Some(v);
             self.stats.mem_violations += 1;
             self.sched.pending_viol.insert(seq);
         }
-        self.rs_used -= 1;
-        self.sched.ready.remove(&seq);
-        self.sched.completions.push(Reverse((done_at, seq)));
+        self.mark_issued(i, self.cycle + 1 + tlb_extra);
     }
 
     // ------------------------------------------------------------------
@@ -1683,58 +1479,27 @@ impl Machine {
             let seq = self.next_seq;
             self.next_seq += 1;
 
-            if let Some(engine) = &mut self.engine {
-                let mut info_srcs: [Option<(spt_core::PhysReg, spt_isa::OperandRole)>; 3] =
-                    [None, None, None];
-                for (k, (_, role)) in inst.sources().iter().enumerate() {
-                    info_srcs[k] = Some((srcs[k].expect("looked up"), role));
-                }
-                let dest_taint = engine.rename(RenameInfo {
-                    seq,
-                    class: inst.class(),
-                    srcs: info_srcs,
-                    dest: dest.map(|(_, new, _)| new),
-                    load_bytes: match inst {
-                        Inst::Load { size, .. } => Some(size.bytes()),
-                        _ => None,
-                    },
-                });
+            let dest_phys = dest.map(|(_, new, _)| new);
+            if let Some(dest_taint) = self.prot.rename(seq, &inst, &srcs, dest_phys) {
+                let public = dest_taint.is_clear();
                 if let Some(v) = self.validator.as_mut() {
-                    v.on_rename(
-                        seq,
-                        f.pc,
-                        inst,
-                        srcs,
-                        dest.map(|(_, new, _)| new),
-                        dest.is_some() && dest_taint.is_clear(),
-                    );
+                    v.on_rename(seq, f.pc, inst, srcs, dest_phys, dest.is_some() && public);
                 }
-                if !dest_taint.is_clear() {
-                    if let Some((_, new, _)) = dest {
-                        let cycle = self.cycle;
-                        if self.trace.enabled() {
-                            let idx = new as usize;
-                            if idx >= self.taint_src.len() {
-                                self.taint_src.resize(idx + 1, 0);
-                            }
-                            self.taint_src[idx] = seq;
+                if let Some(new) = dest_phys.filter(|_| !public) {
+                    let cycle = self.cycle;
+                    if self.trace.enabled() {
+                        let idx = new as usize;
+                        if idx >= self.taint_src.len() {
+                            self.taint_src.resize(idx + 1, 0);
                         }
-                        if let Some(sink) = self.trace.sink() {
-                            sink.event(cycle, &SptTraceEvent::TaintDest { seq, phys: new });
-                        }
-                        if let Some(t) = &mut self.telemetry {
-                            t.on_taint(new, cycle);
-                        }
+                        self.taint_src[idx] = seq;
                     }
-                }
-            }
-            if let Some(stt) = &mut self.stt {
-                if matches!(inst, Inst::Load { .. }) {
-                    if let Some((_, new, _)) = dest {
-                        stt.rename_load(seq, new);
+                    if let Some(sink) = self.trace.sink() {
+                        sink.event(cycle, &SptTraceEvent::TaintDest { seq, phys: new });
                     }
-                } else {
-                    stt.rename_alu(&srcs, dest.map(|(_, new, _)| new));
+                    if let Some(t) = &mut self.telemetry {
+                        t.on_taint(new, cycle);
+                    }
                 }
             }
 
@@ -2066,7 +1831,7 @@ mod tests {
             }
             m.run(RunLimits::default()).unwrap();
             assert_eq!(m.reg(Reg::R2), expected, "{cfg}");
-            if cfg.kind == ProtectionKind::Unsafe {
+            if cfg.kind == spt_core::ProtectionKind::Unsafe {
                 assert!(m.stats().branch_mispredicts > 0, "pattern must mispredict");
             }
         }

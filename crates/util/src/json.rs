@@ -209,14 +209,20 @@ impl Json {
         }
     }
 
+    /// Deepest array/object nesting [`Json::parse`] accepts. The parser
+    /// recurses once per level, so the cap keeps hostile input from
+    /// overflowing the stack.
+    pub const MAX_DEPTH: usize = 256;
+
     /// Parses a JSON document.
     ///
     /// # Errors
     ///
     /// Returns a [`JsonError`] with a byte offset on malformed input,
-    /// including trailing garbage after the top-level value.
+    /// including trailing garbage after the top-level value and arrays or
+    /// objects nested deeper than [`Json::MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -294,6 +300,8 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -335,8 +343,15 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == Json::MAX_DEPTH {
+                    return Err(self.err(format!("nesting deeper than {}", Json::MAX_DEPTH)));
+                }
+                self.depth += 1;
+                let v = if open == b'[' { self.array() } else { self.object() };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(c) => Err(self.err(format!("unexpected `{}`", c as char))),
             None => Err(self.err("unexpected end of input")),
@@ -590,6 +605,23 @@ mod tests {
         }
         let e = Json::parse("[1, @]").unwrap_err();
         assert_eq!(e.offset, 4);
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let e = Json::parse(&"[".repeat(200_000)).unwrap_err();
+        assert_eq!(e.offset, Json::MAX_DEPTH);
+        let e = Json::parse(&"{\"a\":".repeat(200_000)).unwrap_err();
+        assert!(e.message.contains("nesting"), "{e}");
+        let ok = format!("{}{}", "[".repeat(Json::MAX_DEPTH), "]".repeat(Json::MAX_DEPTH));
+        assert!(Json::parse(&ok).is_ok());
+    }
+
+    #[test]
+    fn committed_document_parses() {
+        let text = include_str!("../../../BENCH_simthroughput.json");
+        let doc = Json::parse(text).unwrap();
+        assert_eq!(doc.get("schema").and_then(Json::as_str), Some("spt-simbench-v1"));
     }
 
     #[test]
