@@ -1,21 +1,13 @@
 //! Versioned `spt-attrib-v1` JSON documents and human-readable reports.
 //!
-//! Two document kinds share the schema tag:
+//! One document kind carries the schema tag: `"tracediff"`
+//! ([`diff_document`]) — one trace-pair diff: alignment quality,
+//! per-stage and per-cause totals, and the slowed instructions.
 //!
-//! * `"tracediff"` ([`diff_document`]) — one trace-pair diff: alignment
-//!   quality, per-stage and per-cause totals, and the slowed
-//!   instructions;
-//! * `"fig7-accounting"` ([`accounting_document`]) — one accounted
-//!   Figure-7 matrix: per-cell stacked components with the consistency
-//!   verdict.
-//!
-//! [`validate_attrib_document`] is the schema gate both binaries expose
-//! as `--validate`: it checks structure *and* the semantic invariants the
-//! acceptance criteria pin (every stall has a named cause and a positive
-//! delta; every accounting cell's stack reproduces its delta within the
-//! document's own tolerance).
+//! [`validate_attrib_document`] is the schema gate `tracediff` exposes as
+//! `--validate`: it checks structure *and* the diff's semantic invariants
+//! (every stall has a named cause and a positive delta).
 
-use crate::accounting::AccountingReport;
 use crate::diff::{StageDeltas, TraceDiff};
 use spt_util::Json;
 
@@ -95,56 +87,6 @@ pub fn diff_document(d: &TraceDiff, trace_a: &str, trace_b: &str, max_stalls: us
     ])
 }
 
-/// Builds the `"fig7-accounting"` document.
-pub fn accounting_document(r: &AccountingReport) -> Json {
-    let mut cells = Vec::with_capacity(r.workloads.len() * r.configs.len());
-    for wrow in &r.cells {
-        for c in wrow {
-            cells.push(Json::obj([
-                ("workload", Json::str(&c.workload)),
-                ("config", Json::str(&c.config)),
-                ("cycles", Json::U64(c.cycles)),
-                ("retired", Json::U64(c.retired)),
-                ("base_cycles", Json::U64(c.base_cycles)),
-                ("delta", Json::I64(c.delta)),
-                (
-                    "components",
-                    Json::obj([
-                        ("transmitter_delay", Json::F64(c.transmitter_delay)),
-                        ("resolution_delay", Json::F64(c.resolution_delay)),
-                        ("backpressure", Json::F64(c.backpressure)),
-                    ]),
-                ),
-                ("raw_transmitter_delay", Json::U64(c.raw_transmitter)),
-                ("raw_resolution_delay", Json::U64(c.raw_resolution)),
-                ("scale", Json::F64(c.scale)),
-                ("stack_sum", Json::F64(c.stack_sum())),
-                ("consistent", Json::Bool(c.consistent(r.tolerance))),
-                (
-                    "occupancy",
-                    Json::obj([
-                        ("rob_p50", Json::U64(c.rob_occ_p50)),
-                        ("rob_p99", Json::U64(c.rob_occ_p99)),
-                        ("xmit_delay_p99", Json::U64(c.xmit_delay_p99)),
-                    ]),
-                ),
-            ]));
-        }
-    }
-    Json::obj([
-        ("schema", Json::str(ATTRIB_SCHEMA)),
-        ("kind", Json::str("fig7-accounting")),
-        ("threat", Json::str(r.threat.to_string())),
-        ("budget", Json::U64(r.budget)),
-        ("tolerance", Json::F64(r.tolerance)),
-        ("consistent", Json::Bool(r.consistent())),
-        ("worst_relative_error", Json::F64(r.worst_relative_error())),
-        ("configs", Json::arr(r.configs.iter().map(Json::str))),
-        ("workloads", Json::arr(r.workloads.iter().map(Json::str))),
-        ("cells", Json::Arr(cells)),
-    ])
-}
-
 fn req<'a>(doc: &'a Json, key: &str, what: &str) -> Result<&'a Json, String> {
     doc.get(key).ok_or_else(|| format!("{what}: missing `{key}`"))
 }
@@ -204,52 +146,6 @@ fn validate_tracediff(doc: &Json) -> Result<(), String> {
     Ok(())
 }
 
-fn validate_accounting(doc: &Json) -> Result<(), String> {
-    req_str(doc, "threat", "fig7-accounting")?;
-    let tol = req_num(doc, "tolerance", "fig7-accounting")?;
-    for key in ["configs", "workloads"] {
-        if req(doc, key, "fig7-accounting")?.as_arr().is_none() {
-            return Err(format!("fig7-accounting: `{key}` is not an array"));
-        }
-    }
-    let cells = req(doc, "cells", "fig7-accounting")?
-        .as_arr()
-        .ok_or("fig7-accounting: `cells` is not an array")?;
-    if cells.is_empty() {
-        return Err("fig7-accounting: empty cell list".into());
-    }
-    for (i, c) in cells.iter().enumerate() {
-        let what = format!("fig7-accounting cell #{i}");
-        req_str(c, "workload", &what)?;
-        req_str(c, "config", &what)?;
-        req_num(c, "cycles", &what)?;
-        let delta = req(c, "delta", &what)?
-            .as_i64()
-            .ok_or_else(|| format!("{what}: `delta` is not an integer"))?;
-        let comp = req(c, "components", &what)?;
-        let mut stack = 0.0;
-        for key in ["transmitter_delay", "resolution_delay", "backpressure"] {
-            stack += req_num(comp, key, &what)?;
-        }
-        let recorded = req_num(c, "stack_sum", &what)?;
-        if (stack - recorded).abs() > 1e-6 {
-            return Err(format!("{what}: components sum {stack} != stack_sum {recorded}"));
-        }
-        let err = (stack - delta as f64).abs() / (delta.unsigned_abs().max(1) as f64);
-        if err > tol {
-            return Err(format!(
-                "{what}: stack {stack:.1} misses measured delta {delta} by {:.1}% (> {:.1}%)",
-                err * 100.0,
-                tol * 100.0
-            ));
-        }
-        if req(c, "consistent", &what)?.as_bool() != Some(true) {
-            return Err(format!("{what}: consistency flag is not true"));
-        }
-    }
-    Ok(())
-}
-
 /// Validates an `spt-attrib-v1` document, returning its `kind` on
 /// success.
 ///
@@ -264,7 +160,6 @@ pub fn validate_attrib_document(doc: &Json) -> Result<String, String> {
     let kind = req_str(doc, "kind", "document")?.to_string();
     match kind.as_str() {
         "tracediff" => validate_tracediff(doc)?,
-        "fig7-accounting" => validate_accounting(doc)?,
         other => return Err(format!("unknown document kind `{other}`")),
     }
     Ok(kind)
@@ -328,42 +223,6 @@ pub fn render_diff_report(d: &TraceDiff, top: usize) -> String {
     out
 }
 
-/// Renders the human-readable per-cell accounting table for
-/// `fig7_attrib`.
-pub fn render_accounting(r: &AccountingReport) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<14} {:<22} {:>9} {:>8} {:>10} {:>10} {:>10} {:>7}",
-        "workload", "config", "cycles", "delta", "xmit", "resolve", "backpress", "ok"
-    );
-    for wrow in &r.cells {
-        for c in wrow {
-            let _ = writeln!(
-                out,
-                "{:<14} {:<22} {:>9} {:>+8} {:>10.1} {:>10.1} {:>10.1} {:>7}",
-                c.workload,
-                c.config,
-                c.cycles,
-                c.delta,
-                c.transmitter_delay,
-                c.resolution_delay,
-                c.backpressure,
-                if c.consistent(r.tolerance) { "yes" } else { "NO" }
-            );
-        }
-    }
-    let _ = writeln!(
-        out,
-        "\nstack-sum check: worst relative error {:.3}% (tolerance {:.1}%) — {}",
-        r.worst_relative_error() * 100.0,
-        r.tolerance * 100.0,
-        if r.consistent() { "consistent" } else { "INCONSISTENT" }
-    );
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -421,6 +280,15 @@ mod tests {
     fn wrong_schema_is_rejected() {
         let doc = Json::obj([("schema", Json::str("nope")), ("kind", Json::str("tracediff"))]);
         assert!(validate_attrib_document(&doc).unwrap_err().contains("unexpected schema"));
+    }
+
+    #[test]
+    fn unknown_kind_is_rejected() {
+        let doc = Json::obj([
+            ("schema", Json::str(ATTRIB_SCHEMA)),
+            ("kind", Json::str("fig7-accounting")),
+        ]);
+        assert!(validate_attrib_document(&doc).unwrap_err().contains("unknown document kind"));
     }
 
     #[test]

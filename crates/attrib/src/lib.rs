@@ -1,9 +1,10 @@
 //! Cycle attribution: turning the paper's aggregate overhead numbers into
-//! per-instruction and per-component explanations.
+//! per-instruction explanations.
 //!
 //! The bench layer measures *how much* each protection costs (Figure 7's
-//! normalized execution time); this crate explains *where* those cycles
-//! go, with two engines:
+//! normalized execution time) and splits each cell's slowdown by
+//! head-of-ROB cycle class (`fig7`'s cycle-stack table). This crate
+//! explains *which instructions* those cycles belong to:
 //!
 //! * **Trace diff** ([`align`], [`diff`]) — parse two O3PipeView traces of
 //!   the same workload under different configurations (emitted by
@@ -11,28 +12,16 @@
 //!   retired instruction streams, and attribute every per-instruction
 //!   cycle delta to a pipeline-stage interval and a named stall cause
 //!   (delayed transmitter, shadow-L1 wait, deferred branch resolution,
-//!   plain backpressure). Driven by the `tracediff` binary.
-//! * **Cycle accounting** ([`accounting`]) — run the Figure-7 matrix with
-//!   telemetry enabled and regenerate each cell as a stacked breakdown
-//!   (base cycles + transmitter-delay + resolution-delay + backpressure
-//!   residual) with a per-cell stack-sum consistency check. Driven by the
-//!   `fig7_attrib` binary.
+//!   plain backpressure). Driven by the `tracediff` binary, which emits a
+//!   versioned `spt-attrib-v1` JSON document ([`attribdoc`]) that passes
+//!   its own `--validate`.
 //!
-//! Both emit versioned `spt-attrib-v1` JSON documents ([`attribdoc`])
-//! that pass their own `--validate`.
-//!
-//! See DESIGN.md §6e for the alignment algorithm, the stall taxonomy, and
-//! the overlap normalization behind the stacked breakdown.
+//! See DESIGN.md §6e for the alignment algorithm and the stall taxonomy.
 
-pub mod accounting;
 pub mod align;
 pub mod attribdoc;
 pub mod diff;
 
-pub use accounting::{account_matrix, AccountedCell, AccountingOptions, AccountingReport};
 pub use align::{align_retired, Alignment};
-pub use attribdoc::{
-    accounting_document, diff_document, render_accounting, render_diff_report,
-    validate_attrib_document, ATTRIB_SCHEMA,
-};
+pub use attribdoc::{diff_document, render_diff_report, validate_attrib_document, ATTRIB_SCHEMA};
 pub use diff::{diff_traces, StageDeltas, Stall, StallCause, TraceDiff};

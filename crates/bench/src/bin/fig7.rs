@@ -6,14 +6,18 @@
 //! cargo run -p spt-bench --release --bin fig7 -- [--model spectre|futuristic|both]
 //!                                                [--budget N] [--jobs N]
 //!                                                [--quick] [--verbose]
+//!                                                [--seed N] [--stats-json FILE]
 //! ```
 //!
-//! Writes `results/fig7_<model>.csv` next to the console table. The sweep
-//! fans out over `--jobs` workers (default: one per core); cell ordering
-//! and CSV bytes are identical at any job count.
+//! Writes `results/fig7_<model>.csv` next to the console table, and
+//! explains every cell's slowdown as a head-of-ROB cycle-stack difference
+//! against UnsafeBaseline (`retiring`/`frontend`/`gated`/`memory`/`core`,
+//! integers summing exactly to the cycle delta). The sweep fans out over
+//! `--jobs` workers (default: one per core); cell ordering and CSV bytes
+//! are identical at any job count.
 
 use spt_bench::cli::{exit_sweep_error, model_suffixed, sweep_args, write_stats_json, Flags};
-use spt_bench::report::{render_bars, render_fig7, write_fig7_csv};
+use spt_bench::report::{render_bars, render_fig7, render_stack_deltas, write_fig7_csv};
 use spt_bench::runner::{bench_suite, suite_matrix};
 use spt_bench::statsdoc::matrix_document;
 use std::path::PathBuf;
@@ -38,10 +42,18 @@ fn main() {
         );
         println!("{}", render_fig7(&m, &[("avg(SPEC)", spec), ("avg(CT)", ct), ("avg(all)", all)]));
         println!("{}", render_bars(&m, "SPT{Bwd,ShadowL1}", 40));
+        println!(
+            "Cycle-stack difference against UnsafeBaseline, cycles by head-of-ROB class \
+             (classes sum exactly to delta)\n"
+        );
+        println!("{}", render_stack_deltas(&m));
         let path = PathBuf::from(format!("results/fig7_{model}.csv"));
         match write_fig7_csv(&m, &path) {
             Ok(()) => eprintln!("wrote {}", path.display()),
-            Err(e) => eprintln!("could not write {}: {e}", path.display()),
+            Err(e) => {
+                eprintln!("cannot write {}: {e}", path.display());
+                std::process::exit(1);
+            }
         }
         if let Some(json_path) = &args.stats_json {
             write_stats_json(&matrix_document(&m), &model_suffixed(json_path, model, multi_model));

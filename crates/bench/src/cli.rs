@@ -35,75 +35,64 @@ pub struct Flags {
     pub quick: bool,
 }
 
-/// Parses `std::env::args`, exiting with usage on an unknown flag.
+/// Parses `std::env::args`, exiting with status 2 and a message on a bad
+/// flag or value.
 pub fn sweep_args(binary: &str, flags: Flags) -> SweepArgs {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let parsed = parse_sweep_args(binary, flags, &args).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
+    // Apply before any workload is constructed: the suites sample their
+    // input data (arrays, hash keys, pointer graphs) at build time.
+    spt_workloads::set_input_seed(parsed.seed);
+    parsed
+}
+
+/// Parses a sweep binary's arguments (without the program name).
+///
+/// # Errors
+///
+/// Returns the message to print for an unknown flag, a missing or
+/// malformed value, or a zero `--budget` (a run that retires nothing has
+/// no cycles to normalize by).
+fn parse_sweep_args(binary: &str, flags: Flags, args: &[String]) -> Result<SweepArgs, String> {
     let mut parsed = SweepArgs {
         opts: SweepOptions::new(DEFAULT_BUDGET),
         models: vec![ThreatModel::Futuristic, ThreatModel::Spectre],
         seed: 0,
         stats_json: None,
     };
-    let mut i = 0;
-    let value = |i: &mut usize, flag: &str| -> String {
-        *i += 1;
-        args.get(*i).cloned().unwrap_or_else(|| {
-            eprintln!("{binary}: {flag} needs a value");
-            std::process::exit(2);
-        })
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--budget" => {
-                let v = value(&mut i, "--budget");
-                parsed.opts.budget = v.parse().unwrap_or_else(|_| {
-                    eprintln!("{binary}: --budget takes a number, got `{v}`");
-                    std::process::exit(2);
-                });
-            }
-            "--jobs" => {
-                let v = value(&mut i, "--jobs");
-                let jobs: usize = v.parse().unwrap_or_else(|_| {
-                    eprintln!("{binary}: --jobs takes a number, got `{v}`");
-                    std::process::exit(2);
-                });
-                parsed.opts = parsed.opts.jobs(jobs);
-            }
-            "--seed" => {
-                let v = value(&mut i, "--seed");
-                parsed.seed = v.parse().unwrap_or_else(|_| {
-                    eprintln!("{binary}: --seed takes a number, got `{v}`");
-                    std::process::exit(2);
-                });
-            }
-            "--stats-json" => {
-                parsed.stats_json = Some(PathBuf::from(value(&mut i, "--stats-json")));
-            }
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        let mut value = || args.next().ok_or_else(|| format!("{binary}: {flag} needs a value"));
+        let number = |v: &String| {
+            v.parse::<u64>().map_err(|_| format!("{binary}: {flag} takes a number, got `{v}`"))
+        };
+        match flag.as_str() {
+            "--budget" => parsed.opts.budget = number(value()?)?,
+            "--jobs" => parsed.opts = parsed.opts.jobs(number(value()?)? as usize),
+            "--seed" => parsed.seed = number(value()?)?,
+            "--stats-json" => parsed.stats_json = Some(PathBuf::from(value()?)),
             "--verbose" => parsed.opts.verbose = true,
             "--quick" if flags.quick => parsed.opts.budget = 5_000,
             "--model" if flags.model => {
-                parsed.models = match value(&mut i, "--model").as_str() {
+                parsed.models = match value()?.as_str() {
                     "spectre" => vec![ThreatModel::Spectre],
                     "futuristic" => vec![ThreatModel::Futuristic],
                     "both" => vec![ThreatModel::Futuristic, ThreatModel::Spectre],
-                    other => {
-                        eprintln!("{binary}: unknown model `{other}`");
-                        std::process::exit(2);
-                    }
+                    other => return Err(format!("{binary}: unknown model `{other}`")),
                 };
             }
             other => {
-                eprintln!("{binary}: unknown flag `{other}`");
-                eprintln!("{}", usage(binary, flags));
-                std::process::exit(2);
+                return Err(format!("{binary}: unknown flag `{other}`\n{}", usage(binary, flags)))
             }
         }
-        i += 1;
     }
-    // Apply before any workload is constructed: the suites sample their
-    // input data (arrays, hash keys, pointer graphs) at build time.
-    spt_workloads::set_input_seed(parsed.seed);
-    parsed
+    if parsed.opts.budget == 0 {
+        return Err(format!("{binary}: --budget must be at least 1 retired instruction"));
+    }
+    Ok(parsed)
 }
 
 /// One-line usage string for a binary's flag set.
@@ -165,5 +154,22 @@ mod tests {
         let plain = usage("fig8", Flags::default());
         assert!(plain.contains("--jobs"));
         assert!(!plain.contains("--model"));
+    }
+
+    fn parse(args: &[&str]) -> Result<SweepArgs, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse_sweep_args("fig7", Flags { model: true, quick: true }, &args)
+    }
+
+    #[test]
+    fn zero_budget_is_rejected() {
+        let err = parse(&["--budget", "0"]).unwrap_err();
+        assert!(err.contains("--budget"), "unexpected message: {err}");
+        let ok = parse(&["--budget", "1", "--model", "spectre", "--jobs", "3"]).unwrap();
+        assert_eq!((ok.opts.budget, ok.opts.jobs), (1, 3));
+        assert_eq!(ok.models, vec![ThreatModel::Spectre]);
+        assert!(parse(&["--budget"]).unwrap_err().contains("needs a value"));
+        assert!(parse(&["--budget", "x"]).unwrap_err().contains("takes a number"));
+        assert!(parse(&["--bogus"]).unwrap_err().contains("usage: fig7"));
     }
 }

@@ -1,6 +1,7 @@
 //! Text-table and CSV rendering for the experiment binaries.
 
 use crate::runner::SuiteMatrix;
+use spt_ooo::CycleStack;
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
@@ -30,6 +31,36 @@ pub fn render_fig7(m: &SuiteMatrix, mean_rows: &[(&str, Vec<usize>)]) -> String 
             let _ = write!(out, "{:>col$.3}", m.mean_over(c, subset));
         }
         let _ = writeln!(out);
+    }
+    out
+}
+
+/// Renders the Figure-7 slowdown of every non-baseline cell as a
+/// head-of-ROB cycle-stack difference against UnsafeBaseline: one row per
+/// (workload, config), one column per class. The classes sum exactly to
+/// the `delta` column.
+pub fn render_stack_deltas(m: &SuiteMatrix) -> String {
+    let mut out = String::new();
+    let _ = write!(out, "{:<12} {:<22} {:>9} {:>9}", "benchmark", "config", "cycles", "delta");
+    for label in CycleStack::LABELS {
+        let _ = write!(out, " {label:>9}");
+    }
+    let _ = writeln!(out);
+    let base = m.baseline_index();
+    for w in 0..m.workloads.len() {
+        for c in (0..m.configs.len()).filter(|&c| c != base) {
+            let row = &m.rows[w][c];
+            let delta = row.cycles as i64 - m.rows[w][base].cycles as i64;
+            let _ = write!(
+                out,
+                "{:<12} {:<22} {:>9} {delta:>+9}",
+                m.workloads[w], m.configs[c], row.cycles
+            );
+            for (_, d) in m.stack_delta(w, c) {
+                let _ = write!(out, " {d:>+9}");
+            }
+            let _ = writeln!(out);
+        }
     }
     out
 }
@@ -114,6 +145,7 @@ mod tests {
             cycles,
             retired: 100,
             stats: Default::default(),
+            cycle_stack: CycleStack { retiring: 60, memory: cycles - 60, ..Default::default() },
         };
         SuiteMatrix::new(
             ThreatModel::Spectre,
@@ -130,6 +162,15 @@ mod tests {
         let table = render_fig7(&m, &[("mean", vec![0])]);
         assert!(table.contains("2.500"));
         assert!(table.contains("mean"));
+    }
+
+    #[test]
+    fn stack_deltas_render_against_the_baseline() {
+        let table = render_stack_deltas(&tiny_matrix());
+        assert!(table.lines().next().unwrap().ends_with("core"));
+        assert_eq!(table.lines().count(), 2, "baseline row is left out:\n{table}");
+        assert!(table.contains("SecureBaseline"));
+        assert!(table.contains("+150"), "memory class carries the delta:\n{table}");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use spt_core::{Config, ThreatModel};
 use spt_mem::MemSystem;
-use spt_ooo::{CoreConfig, Machine, MachineStats, RunLimits, SimError};
+use spt_ooo::{CoreConfig, CycleStack, Machine, MachineStats, RunLimits, SimError};
 use spt_workloads::{Scale, Workload};
 use std::fmt;
 
@@ -41,6 +41,8 @@ pub struct RunRow {
     pub retired: u64,
     /// Full machine statistics.
     pub stats: MachineStats,
+    /// Head-of-ROB cycle stack; its total is `cycles`.
+    pub cycle_stack: CycleStack,
 }
 
 /// A simulation failure carrying the identity of the sweep cell that
@@ -108,6 +110,7 @@ pub fn run_prepared(
         cycles: out.cycles,
         retired: out.retired,
         stats: m.stats(),
+        cycle_stack: m.cycle_stack(),
     })
 }
 
@@ -212,6 +215,14 @@ impl SuiteMatrix {
     pub fn normalized(&self, w: usize, c: usize) -> f64 {
         let base = self.rows[w][self.baseline].cycles as f64;
         self.rows[w][c].cycles as f64 / base
+    }
+
+    /// Class-by-class cycle-stack difference against the
+    /// [`BASELINE_CONFIG`] column: the Figure-7 slowdown of cell `(w, c)`
+    /// split by head-of-ROB class, summing exactly to
+    /// `cycles - base_cycles`.
+    pub fn stack_delta(&self, w: usize, c: usize) -> [(&'static str, i64); 5] {
+        self.rows[w][c].cycle_stack.delta(&self.rows[w][self.baseline].cycle_stack)
     }
 
     /// Arithmetic mean of normalized execution time for config `c` over a

@@ -6,8 +6,9 @@
 //!   cache / TLB / frontend counter, the optional telemetry histograms, and
 //!   the attacker-observation digest (hex, so the full 64 bits survive
 //!   consumers that parse numbers as doubles);
-//! * [`matrix_document`] — one sweep: per-cell cycles, retired counts, and
-//!   baseline-normalized execution time for a whole [`SuiteMatrix`].
+//! * [`matrix_document`] — one sweep: per-cell cycles, retired counts,
+//!   cycle stacks and baseline-normalized execution time for a whole
+//!   [`SuiteMatrix`].
 //!
 //! Serialization is `spt_util::Json` (hand-rolled; the workspace is
 //! offline), so documents round-trip exactly through `Json::parse`.
@@ -19,8 +20,13 @@
 //!
 //! * telemetry histograms now carry `p50`/`p90`/`p99` summary fields
 //!   (bucket-upper-bound estimates, clamped to the observed max) next to
-//!   `mean`/`max`. A removal or meaning change of an existing field would
-//!   require bumping to `spt-stats-v2`.
+//!   `mean`/`max`;
+//! * every run document and every sweep cell carries `cycle_stack`, the
+//!   head-of-ROB cycle stack (`retiring`/`frontend`/`gated`/`memory`/
+//!   `core`, summing exactly to the run's cycles).
+//!
+//! A removal or meaning change of an existing field would require bumping
+//! to `spt-stats-v2`.
 
 use crate::runner::{RunRow, SuiteMatrix};
 use spt_mem::CacheStats;
@@ -58,6 +64,7 @@ pub fn run_document(m: &Machine, workload: &str, config: &str, budget: u64) -> J
         ("config", Json::str(config)),
         ("budget", Json::U64(budget)),
         ("machine", stats.to_json()),
+        ("cycle_stack", m.cycle_stack().to_json()),
         (
             "caches",
             Json::obj([
@@ -97,6 +104,7 @@ fn row_json(cell: &RunRow) -> Json {
         ("transmitter_delay_cycles", Json::U64(cell.stats.transmitter_delay_cycles)),
         ("resolution_delay_cycles", Json::U64(cell.stats.resolution_delay_cycles)),
         ("untaint_events_total", Json::U64(cell.stats.spt.events.total())),
+        ("cycle_stack", cell.cycle_stack.to_json()),
     ])
 }
 
@@ -146,6 +154,7 @@ mod tests {
     use super::*;
     use crate::runner::{prepare_machine, run_prepared, suite_matrix, SweepOptions};
     use spt_core::{Config, ThreatModel};
+    use spt_ooo::CycleStack;
     use spt_workloads::Scale;
 
     #[test]
@@ -162,6 +171,9 @@ mod tests {
         assert_eq!(digest.len(), 16, "digest is 16 hex chars: {digest}");
         assert_eq!(u64::from_str_radix(digest, 16).unwrap(), m.observation_digest());
         assert!(back.get("telemetry").and_then(|t| t.get("rob_occupancy")).is_some());
+        let stack = back.get("cycle_stack").expect("cycle stack present");
+        let total: u64 = CycleStack::LABELS.iter().filter_map(|k| stack.get(k)?.as_u64()).sum();
+        assert_eq!(total, m.cycle());
         assert!(
             back.get("machine").and_then(|s| s.get("cycles")).and_then(Json::as_u64).unwrap() > 0
         );
@@ -183,5 +195,7 @@ mod tests {
         assert_eq!(cells.len(), m.configs.len());
         let base = &cells[m.baseline_index()];
         assert!((base.get("normalized").and_then(Json::as_f64).unwrap() - 1.0).abs() < 1e-12);
+        let gated = base.get("cycle_stack").and_then(|s| s.get("gated")).and_then(Json::as_u64);
+        assert_eq!(gated, Some(0), "nothing is gated on the baseline");
     }
 }

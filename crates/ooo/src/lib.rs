@@ -57,6 +57,6 @@ pub mod validate;
 pub use config::CoreConfig;
 pub use machine::{Machine, RunLimits};
 pub use protection::Protection;
-pub use stats::{MachineStats, RunOutcome, SimError, StopReason};
+pub use stats::{CycleStack, MachineStats, RunOutcome, SimError, StopReason};
 pub use telemetry::Telemetry;
 pub use validate::SecurityValidator;

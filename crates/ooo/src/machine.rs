@@ -35,7 +35,7 @@ use crate::protection::Protection;
 use crate::rename::RegisterFile;
 use crate::rob::{ExecState, RobEntry};
 use crate::sched::{RetiredLoadTable, Scheduler};
-use crate::stats::{MachineStats, RunOutcome, SimError, StopReason};
+use crate::stats::{CycleStack, MachineStats, RunOutcome, SimError, StopReason};
 use crate::telemetry::Telemetry;
 use crate::validate::SecurityValidator;
 use spt_core::{Config, Seq, ShadowTaint, StlCondition, TaintMask, UntaintKind};
@@ -209,6 +209,8 @@ pub struct Machine {
     lq_used: usize,
     sq_used: usize,
     stats: MachineStats,
+    /// Every cycle charged to one head-of-ROB class (`charge_cycle`).
+    cycle_stack: CycleStack,
     last_retire_cycle: u64,
     /// Recently retired, non-forwarded loads whose output register may
     /// still be declassified by an in-flight consumer's visibility point.
@@ -286,6 +288,7 @@ impl Machine {
             lq_used: 0,
             sq_used: 0,
             stats: MachineStats::default(),
+            cycle_stack: CycleStack::default(),
             last_retire_cycle: 0,
             retired_loads: RetiredLoadTable::new(core.num_phys, 128),
             sched: Scheduler::new(core.num_phys),
@@ -490,6 +493,12 @@ impl Machine {
         s
     }
 
+    /// The head-of-ROB cycle stack so far: one class per simulated cycle,
+    /// so its total equals [`Machine::cycle`].
+    pub fn cycle_stack(&self) -> CycleStack {
+        self.cycle_stack
+    }
+
     /// Runs until `Halt` retires or a limit is hit.
     ///
     /// # Errors
@@ -523,6 +532,7 @@ impl Machine {
 
     /// Advances the machine by one cycle.
     pub fn step_cycle(&mut self) {
+        let retired_before = self.stats.retired;
         self.update_vp();
         self.retire();
         self.untaint_step();
@@ -535,6 +545,7 @@ impl Machine {
         self.rename();
         self.fetch();
         self.drain_validator();
+        self.charge_cycle(retired_before);
         if let Some(t) = &mut self.telemetry {
             t.rob_occupancy.record(self.rob.len() as u64);
             t.rs_occupancy.record(self.rs_used as u64);
@@ -543,6 +554,27 @@ impl Machine {
             t.mshr_inflight.record(self.mem.l1().mshrs_in_flight(self.cycle) as u64);
         }
         self.cycle += 1;
+    }
+
+    /// Charges the cycle just simulated to one [`CycleStack`] class, read
+    /// from the ROB head at the end of the cycle. No class for a head
+    /// branch with deferred resolution is needed: `update_vp` runs before
+    /// `retire`, so a new head reaches the VP within one cycle.
+    fn charge_cycle(&mut self, retired_before: u64) {
+        let s = &mut self.cycle_stack;
+        let class = if self.stats.retired > retired_before {
+            &mut s.retiring
+        } else {
+            match self.rob.front() {
+                None => &mut s.frontend,
+                Some(h) if !h.inst.is_transmitter() => &mut s.core,
+                Some(h) if h.timing.xmit_delay_cycles > 0 && h.state != ExecState::Done => {
+                    &mut s.gated
+                }
+                Some(_) => &mut s.memory,
+            }
+        };
+        *class += 1;
     }
 
     fn drain_validator(&mut self) {
@@ -1854,6 +1886,20 @@ mod tests {
         let out = m.run(RunLimits::cycles(10)).unwrap();
         assert_eq!(out.reason, StopReason::CycleBudget);
         assert_eq!(out.cycles, 10);
+    }
+
+    #[test]
+    fn cycle_stack_charges_every_cycle_once() {
+        for cfg in all_configs() {
+            let mut m = Machine::new(sum_program(), CoreConfig::default(), cfg);
+            let out = m.run(RunLimits::default()).unwrap();
+            let stack = m.cycle_stack();
+            assert_eq!(stack.total(), out.cycles, "{cfg}: {stack:?}");
+            assert!(stack.retiring > 0 && stack.frontend > 0, "{cfg}: {stack:?}");
+            if !cfg.protected() {
+                assert_eq!(stack.gated, 0, "{cfg}: nothing is gated");
+            }
+        }
     }
 
     #[test]

@@ -77,6 +77,59 @@ impl MachineStats {
     }
 }
 
+/// Head-of-ROB cycle stack: every simulated cycle charged to exactly one
+/// class, chosen from the reorder-buffer head at the end of the cycle
+/// (Eyerman et al., ASPLOS 2006; Yasin, ISPASS 2014).
+///
+/// The classes partition the run, so [`CycleStack::total`] equals the
+/// cycle count, and the class-by-class difference of two stacks sums
+/// exactly to the difference of their cycle counts. Deliberately kept out
+/// of [`MachineStats::to_json`], whose text the equivalence goldens
+/// digest.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CycleStack {
+    /// At least one instruction retired this cycle.
+    pub retiring: u64,
+    /// The ROB was empty.
+    pub frontend: u64,
+    /// The head was a transmitter the leak gate held and that has not
+    /// yet completed.
+    pub gated: u64,
+    /// The head was any other load or store (including a store whose
+    /// drain the memory system refused).
+    pub memory: u64,
+    /// Anything else: the head was a non-memory instruction in flight.
+    pub core: u64,
+}
+
+impl CycleStack {
+    /// Class labels, in report order.
+    pub const LABELS: [&'static str; 5] = ["retiring", "frontend", "gated", "memory", "core"];
+
+    /// Every class with its label, in [`Self::LABELS`] order.
+    pub fn classes(&self) -> [(&'static str, u64); 5] {
+        let n = [self.retiring, self.frontend, self.gated, self.memory, self.core];
+        std::array::from_fn(|i| (Self::LABELS[i], n[i]))
+    }
+
+    /// Sum of all classes: the number of cycles charged.
+    pub fn total(&self) -> u64 {
+        self.classes().iter().map(|&(_, n)| n).sum()
+    }
+
+    /// Class-by-class difference `self - base`; sums exactly to
+    /// `self.total() - base.total()`.
+    pub fn delta(&self, base: &CycleStack) -> [(&'static str, i64); 5] {
+        let (mine, theirs) = (self.classes(), base.classes());
+        std::array::from_fn(|i| (mine[i].0, mine[i].1 as i64 - theirs[i].1 as i64))
+    }
+
+    /// The stack as one JSON object keyed by class label.
+    pub fn to_json(&self) -> Json {
+        Json::obj(self.classes().map(|(label, n)| (label, Json::U64(n))))
+    }
+}
+
 /// Why a run ended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StopReason {
@@ -169,6 +222,19 @@ mod tests {
         // Round-trips through the text form.
         let back = Json::parse(&j.to_string()).unwrap();
         assert_eq!(back.get("retired").and_then(Json::as_u64), Some(250));
+    }
+
+    #[test]
+    fn cycle_stack_deltas_sum_to_the_cycle_delta() {
+        let base = CycleStack { retiring: 40, frontend: 5, gated: 0, memory: 50, core: 5 };
+        let spt = CycleStack { retiring: 41, frontend: 4, gated: 30, memory: 60, core: 5 };
+        assert_eq!((base.total(), spt.total()), (100, 140));
+        let delta = spt.delta(&base);
+        assert_eq!(delta.iter().map(|&(_, d)| d).sum::<i64>(), 40);
+        assert_eq!(delta[1], ("frontend", -1));
+        let j = spt.to_json();
+        assert_eq!(j.get("gated").and_then(Json::as_u64), Some(30));
+        assert!(MachineStats::default().to_json().get("gated").is_none());
     }
 
     #[test]

@@ -43,6 +43,11 @@ fn tracing_and_telemetry_are_zero_cost() {
 
             assert_eq!(plain.cycles, row.cycles, "{} under {cfg}: cycle count changed", w.name);
             assert_eq!(plain.retired, row.retired, "{} under {cfg}: retired changed", w.name);
+            assert_eq!(
+                plain.cycle_stack, row.cycle_stack,
+                "{} under {cfg}: cycle stack changed with tracing on",
+                w.name
+            );
             let _ = m.run(spt_repro::ooo::RunLimits::retired(BUDGET)).expect("digest run");
             assert_eq!(
                 m.observation_digest(),
