@@ -3,7 +3,7 @@
 //!
 //! The bench layer measures *how much* each protection costs (Figure 7's
 //! normalized execution time) and splits each cell's slowdown by
-//! head-of-ROB cycle class (`fig7`'s cycle-stack table). This crate
+//! head-of-ROB cycle class (`paper`'s Figure-7 cycle-stack tables). This crate
 //! explains *which instructions* those cycles belong to:
 //!
 //! * **Trace diff** ([`align`], [`diff`]) — parse two O3PipeView traces of

@@ -1,8 +1,8 @@
 //! Microbenchmarks of the simulator's hot components: the SPT untaint
 //! engine's per-cycle step, rename-time tainting, the TAGE predictor and
 //! the cache hierarchy. These measure the *simulator* (host-side cost),
-//! complementing the `figures` bench which measures the *simulated
-//! machine* (guest-side cycles).
+//! complementing the `paper` sweep which measures the *simulated machine*
+//! (guest-side cycles).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use spt_core::engine::RenameInfo;

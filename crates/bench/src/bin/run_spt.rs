@@ -15,142 +15,46 @@
 //! | `--enable-spt` | same |
 //! | `--threat-model spectre\|futuristic` | same |
 //! | `--untaint-method none\|fwd\|bwd\|ideal` | same |
-//! | `--enable-shadow-l1` / `--enable-shadow-mem` | same (mutually exclusive) |
+//! | `--enable-shadow-l1` / `--enable-shadow-mem` | same (mutually exclusive; need `--enable-spt`) |
 //! | `--track-insts` | prints the untaint-event breakdown |
 //! | `--output-dir` | stdout (redirect as needed) |
 //!
 //! Omitting `--enable-spt` gives the UnsafeBaseline, exactly as in the
 //! artifact ("to run InsecureBaseline, simply provide the --executable and
-//! nothing else"). `--stt` selects the STT comparison design.
+//! nothing else"). `--stt` selects the STT comparison design and cannot be
+//! combined with `--enable-spt`. Flags the selected design would ignore are
+//! rejected with exit status 2 (see [`spt_bench::cli::parse_run_args`]).
 
-use spt_bench::cli::exit_sweep_error;
+use spt_bench::cli::{exit_sweep_error, exit_usage, parse_run_args, RunArgs, RunCommand};
 use spt_bench::runner::{prepare_machine, run_prepared};
 use spt_bench::statsdoc::{run_document, write_json};
-use spt_core::{Config, ShadowMode, ThreatModel, UntaintMethod};
 use spt_util::O3PipeViewSink;
 use spt_workloads::{full_suite, Scale};
 use std::fs::File;
-use std::path::PathBuf;
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: run_spt --executable <workload> [--enable-spt] [--stt]\n\
-         \x20      [--threat-model spectre|futuristic] [--untaint-method none|fwd|bwd|ideal]\n\
-         \x20      [--enable-shadow-l1 | --enable-shadow-mem] [--budget N] [--jobs N]\n\
-         \x20      [--seed N] [--trace <o3-trace-file>] [--stats-json <json-file>]\n\
-         \x20      [--track-insts] [--list]"
-    );
-    std::process::exit(2);
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut executable: Option<String> = None;
-    let mut enable_spt = false;
-    let mut stt = false;
-    let mut threat = ThreatModel::Futuristic;
-    let mut untaint: Option<UntaintMethod> = None;
-    let mut shadow = ShadowMode::None;
-    let mut budget = 30_000u64;
-    let mut seed = 0u64;
-    let mut track_insts = false;
-    let mut trace_path: Option<PathBuf> = None;
-    let mut stats_json_path: Option<PathBuf> = None;
-
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--executable" => {
-                i += 1;
-                executable = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
-            }
-            "--enable-spt" => enable_spt = true,
-            "--stt" => stt = true,
-            "--threat-model" => {
-                i += 1;
-                threat = match args.get(i).map(String::as_str) {
-                    Some("spectre") => ThreatModel::Spectre,
-                    Some("futuristic") => ThreatModel::Futuristic,
-                    _ => usage(),
-                };
-            }
-            "--untaint-method" => {
-                i += 1;
-                untaint = Some(match args.get(i).map(String::as_str) {
-                    Some("none") => UntaintMethod::None,
-                    Some("fwd") => UntaintMethod::Fwd,
-                    Some("bwd") => UntaintMethod::Bwd,
-                    Some("ideal") => UntaintMethod::Ideal,
-                    _ => usage(),
-                });
-            }
-            "--enable-shadow-l1" => shadow = ShadowMode::L1,
-            "--enable-shadow-mem" => shadow = ShadowMode::Mem,
-            "--budget" => {
-                i += 1;
-                budget = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| usage());
-            }
-            "--seed" => {
-                i += 1;
-                seed = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| usage());
-                spt_workloads::set_input_seed(seed);
-            }
-            // A single run has nothing to fan out; accepted so scripts can
-            // pass a uniform flag set to every binary.
-            "--jobs" => {
-                i += 1;
-                let _: usize = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| usage());
-            }
-            "--trace" => {
-                i += 1;
-                trace_path = Some(args.get(i).map(PathBuf::from).unwrap_or_else(|| usage()));
-            }
-            "--stats-json" => {
-                i += 1;
-                stats_json_path = Some(args.get(i).map(PathBuf::from).unwrap_or_else(|| usage()));
-            }
-            "--track-insts" => track_insts = true,
-            "--list" => {
+    let RunArgs { executable, config, budget, seed, track_insts, trace, stats_json } =
+        match parse_run_args(&args).unwrap_or_else(|e| exit_usage(&e)) {
+            RunCommand::Run(run) => run,
+            RunCommand::List => {
                 println!("available workloads:");
                 for w in full_suite(Scale::Bench) {
                     println!("  {:<12} {}", w.name, w.description);
                 }
                 return;
             }
-            _ => usage(),
-        }
-        i += 1;
-    }
+        };
+    spt_workloads::set_input_seed(seed);
 
-    if shadow == ShadowMode::Mem && matches!(untaint, Some(UntaintMethod::Ideal)) {
-        // SPT{Ideal,ShadowMem} — fine.
-    }
-    if !enable_spt && untaint.is_some() {
-        eprintln!("--untaint-method requires --enable-spt (as in the artifact)");
-        std::process::exit(2);
-    }
-
-    let config = if stt {
-        Config::stt(threat)
-    } else if enable_spt {
-        let mut c = Config::secure_baseline(threat);
-        c.untaint = untaint.unwrap_or(UntaintMethod::None);
-        c.shadow = shadow;
-        c
-    } else {
-        Config::unsafe_baseline(threat)
-    };
-
-    let name = executable.unwrap_or_else(|| usage());
     let suite = full_suite(Scale::Bench);
-    let Some(w) = suite.iter().find(|w| w.name == name) else {
-        eprintln!("unknown workload `{name}`; use --list");
-        std::process::exit(2);
+    let Some(w) = suite.iter().find(|w| w.name == executable) else {
+        exit_usage(&format!("unknown workload `{executable}`; use --list"));
     };
 
     eprintln!("running {} under {config} (seed {seed}) ...", w.name);
     let mut m = prepare_machine(w, config);
-    if let Some(path) = &trace_path {
+    if let Some(path) = &trace {
         let file = File::create(path).unwrap_or_else(|e| {
             eprintln!("cannot create trace file {}: {e}", path.display());
             std::process::exit(1);
@@ -159,18 +63,18 @@ fn main() {
         // `tracediff`; Konata ignores them.
         m.set_trace_sink(Box::new(O3PipeViewSink::with_events(file)));
     }
-    if stats_json_path.is_some() {
+    if stats_json.is_some() {
         m.enable_telemetry();
     }
     let row = run_prepared(&mut m, w, config, budget).unwrap_or_else(|e| exit_sweep_error(&e));
-    if let Some(mut sink) = m.take_trace_sink() {
+    if let (Some(mut sink), Some(path)) = (m.take_trace_sink(), &trace) {
         if let Err(e) = sink.flush() {
             eprintln!("error writing trace: {e}");
             std::process::exit(1);
         }
-        eprintln!("O3PipeView trace written to {}", trace_path.as_ref().unwrap().display());
+        eprintln!("O3PipeView trace written to {}", path.display());
     }
-    if let Some(path) = &stats_json_path {
+    if let Some(path) = &stats_json {
         let doc = run_document(&m, w.name, config.name(), budget);
         if let Err(e) = write_json(&doc, path) {
             eprintln!("cannot write stats JSON {}: {e}", path.display());

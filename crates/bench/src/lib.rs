@@ -1,22 +1,17 @@
 //! Experiment harness for the SPT reproduction.
 //!
-//! One binary per paper artifact regenerates the corresponding table or
-//! figure (see `DESIGN.md` §5 for the full index):
+//! Two binaries (see `DESIGN.md` §5 for the full artifact index):
 //!
 //! | binary | artifact |
 //! |---|---|
-//! | `fig7` | Figure 7: normalized execution time, all configs × workloads |
-//! | `fig8` | Figure 8: untaint-event breakdown |
-//! | `fig9` | Figure 9: registers untainted per untainting cycle (CDF) |
-//! | `headline` | §9.2 headline numbers (overheads, ratios, deltas) |
-//! | `width_sweep` | §9.4 broadcast-width ablation |
-//! | `sdo` | §6.3 protection-policy ablation (delay vs oblivious) |
+//! | `paper` | every table and figure from one sweep: Figure 7 (+ CSVs and cycle-stack deltas), §9.2 headline numbers, Figures 8 and 9, the §6.3 SDO and §9.4 broadcast-width ablations, Table 3 |
 //! | `run_spt` | single-run front-end mirroring the artifact's `run_spt.py` |
-//! | `table3` | Table 3: related-work taxonomy (static) |
+//! | `simbench` | simulator-throughput document (`BENCH_simthroughput.json`) |
 //!
-//! The library half holds the shared runner (with its bounded worker
-//! pool — every binary takes `--jobs N`), flag parsing, and text/CSV
-//! renderers.
+//! The library half holds the shared runner ([`paper_sweep`] simulates
+//! each distinct (workload, config) cell once over a bounded worker pool
+//! sized by `--jobs N`), flag parsing, the text/CSV renderers of every
+//! artifact, and the `spt-stats-v1` documents.
 
 pub mod cli;
 pub mod report;
@@ -25,7 +20,8 @@ pub mod simbench;
 pub mod statsdoc;
 
 pub use runner::{
-    default_jobs, prepare_machine, run_indexed, run_prepared, run_workload, suite_matrix, RunRow,
-    SuiteMatrix, SweepError, SweepOptions, DEFAULT_BUDGET,
+    default_jobs, paper_cells, paper_sweep, prepare_machine, run_indexed, run_prepared,
+    run_workload, suite_matrix, PaperSweep, RunRow, SuiteMatrix, SweepError, SweepOptions,
+    DEFAULT_BUDGET,
 };
-pub use statsdoc::{matrix_document, run_document, write_json, STATS_SCHEMA};
+pub use statsdoc::{paper_document, run_document, write_json, STATS_SCHEMA};

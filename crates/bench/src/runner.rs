@@ -4,10 +4,13 @@
 //! threat model) is an independent simulation, so the sweep fans out over a
 //! bounded worker pool ([`run_indexed`]) sized by
 //! [`std::thread::available_parallelism`] and overridable with the
-//! `--jobs N` flag every experiment binary accepts. Results are written
-//! into pre-indexed slots, so the assembled [`SuiteMatrix`] — and every
-//! CSV and table derived from it — is byte-identical to a sequential run
-//! regardless of scheduling.
+//! `--jobs N` flag. Results are written into pre-indexed slots, so the
+//! assembled [`SuiteMatrix`] — and every CSV and table derived from it — is
+//! byte-identical to a sequential run regardless of scheduling.
+//!
+//! [`paper_sweep`] is the one sweep behind every paper artifact: the
+//! Table-2 matrix per threat model plus the few Futuristic cells the
+//! ablations add, each distinct (workload, config) cell simulated once.
 
 use spt_core::{Config, ThreatModel};
 use spt_mem::MemSystem;
@@ -35,6 +38,9 @@ pub struct RunRow {
     pub config: String,
     /// Attack model.
     pub threat: ThreatModel,
+    /// Untaint broadcast width of the configuration (the display name does
+    /// not carry it).
+    pub broadcast_width: usize,
     /// Cycles taken to retire the budget.
     pub cycles: u64,
     /// Instructions retired.
@@ -107,6 +113,7 @@ pub fn run_prepared(
         workload: w.name.to_string(),
         config: cfg.name().to_string(),
         threat: cfg.threat,
+        broadcast_width: cfg.broadcast_width,
         cycles: out.cycles,
         retired: out.retired,
         stats: m.stats(),
@@ -268,6 +275,48 @@ impl SuiteMatrix {
     }
 }
 
+/// Runs `(workload index, config)` cells over [`SweepOptions::jobs`]
+/// workers and returns the rows in cell order.
+///
+/// # Errors
+///
+/// Returns the first failing cell in cell order if any simulation
+/// deadlocks.
+fn run_cells(
+    workloads: &[Workload],
+    cells: &[(usize, Config)],
+    opts: SweepOptions,
+) -> Result<Vec<RunRow>, SweepError> {
+    run_indexed(cells.len(), opts.jobs, |i| {
+        let (w, cfg) = cells[i];
+        if opts.verbose {
+            eprintln!("  running {} under {cfg} ...", workloads[w].name);
+        }
+        run_workload(&workloads[w], cfg, opts.budget)
+    })
+    .into_iter()
+    .collect()
+}
+
+/// The Table-2 cells of one threat model, workloads outer, configs inner.
+fn matrix_cells(threat: ThreatModel, workloads: usize) -> Vec<(usize, Config)> {
+    let configs = Config::table2(threat);
+    (0..workloads).flat_map(|w| configs.iter().map(move |&c| (w, c))).collect()
+}
+
+/// Assembles the rows of [`matrix_cells`] into a [`SuiteMatrix`],
+/// consuming exactly one row per cell from `rows`.
+fn matrix_from_rows(
+    threat: ThreatModel,
+    workloads: &[Workload],
+    rows: &mut impl Iterator<Item = RunRow>,
+) -> SuiteMatrix {
+    let configs: Vec<String> =
+        Config::table2(threat).iter().map(|c| c.name().to_string()).collect();
+    let rows = workloads.iter().map(|_| rows.by_ref().take(configs.len()).collect()).collect();
+    SuiteMatrix::new(threat, configs, workloads.iter().map(|w| w.name.to_string()).collect(), rows)
+}
+
 /// Runs the full Figure-7 sweep: every Table-2 configuration on every
 /// workload of the suite, for one threat model, fanned out over
 /// [`SweepOptions::jobs`] workers.
@@ -284,30 +333,87 @@ pub fn suite_matrix(
     workloads: &[Workload],
     opts: SweepOptions,
 ) -> Result<SuiteMatrix, SweepError> {
-    let configs = Config::table2(threat);
-    let cells = workloads.len() * configs.len();
-    let results = run_indexed(cells, opts.jobs, |i| {
-        let (w, c) = (i / configs.len(), i % configs.len());
-        if opts.verbose {
-            eprintln!("  running {} under {} ...", workloads[w].name, configs[c]);
-        }
-        run_workload(&workloads[w], configs[c], opts.budget)
-    });
+    let rows = run_cells(workloads, &matrix_cells(threat, workloads.len()), opts)?;
+    Ok(matrix_from_rows(threat, workloads, &mut rows.into_iter()))
+}
 
-    let mut rows = Vec::with_capacity(workloads.len());
-    let mut row = Vec::with_capacity(configs.len());
-    for result in results {
-        row.push(result?);
-        if row.len() == configs.len() {
-            rows.push(std::mem::replace(&mut row, Vec::with_capacity(configs.len())));
+/// Workloads of the §9.4 broadcast-width ablation.
+pub const WIDTH_WORKLOADS: [&str; 6] =
+    ["perlbench", "mcf", "omnetpp", "namd", "povray", "chacha20"];
+
+/// Broadcast widths the §9.4 ablation adds. The Table-1 width of 3 is the
+/// matrix's own `SPT{Bwd,ShadowL1}` column, so it is not simulated again.
+pub const ABLATION_WIDTHS: [usize; 5] = [1, 2, 4, 8, 16];
+
+/// Every simulation the paper's artifacts read, each run once.
+#[derive(Clone, Debug)]
+pub struct PaperSweep {
+    /// One Table-2 matrix per selected threat model, in selection order.
+    pub matrices: Vec<SuiteMatrix>,
+    /// `SPT{Bwd,ShadowL1}+SDO` (Futuristic) per workload, in suite order;
+    /// empty when Futuristic is not selected.
+    pub sdo: Vec<RunRow>,
+    /// Per width-ablation workload: its suite index and its
+    /// `SPT{Bwd,ShadowL1}` (Futuristic) rows at [`ABLATION_WIDTHS`];
+    /// empty when Futuristic is not selected.
+    pub widths: Vec<(usize, Vec<RunRow>)>,
+}
+
+impl PaperSweep {
+    /// The Futuristic matrix, which the ablations and Figure 9 read.
+    pub fn futuristic(&self) -> Option<&SuiteMatrix> {
+        self.matrices.iter().find(|m| m.threat == ThreatModel::Futuristic)
+    }
+}
+
+/// Suite indices of the [`WIDTH_WORKLOADS`] present, in suite order.
+fn width_workloads(workloads: &[Workload]) -> Vec<usize> {
+    (0..workloads.len()).filter(|&w| WIDTH_WORKLOADS.contains(&workloads[w].name)).collect()
+}
+
+/// The cells [`paper_sweep`] simulates, in dispatch order: the Table-2
+/// matrix of every model in `models`, then, if Futuristic is among them,
+/// `Config::spt_sdo` on every workload and [`ABLATION_WIDTHS`] on the
+/// width-ablation workloads. No (workload, config) pair appears twice.
+pub fn paper_cells(models: &[ThreatModel], workloads: &[Workload]) -> Vec<(usize, Config)> {
+    let mut cells: Vec<_> = models.iter().flat_map(|&t| matrix_cells(t, workloads.len())).collect();
+    if models.contains(&ThreatModel::Futuristic) {
+        let t = ThreatModel::Futuristic;
+        cells.extend((0..workloads.len()).map(|w| (w, Config::spt_sdo(t))));
+        for w in width_workloads(workloads) {
+            cells.extend(
+                ABLATION_WIDTHS
+                    .iter()
+                    .map(|&broadcast_width| (w, Config { broadcast_width, ..Config::spt_full(t) })),
+            );
         }
     }
-    Ok(SuiteMatrix::new(
-        threat,
-        configs.iter().map(|c| c.name().to_string()).collect(),
-        workloads.iter().map(|w| w.name.to_string()).collect(),
-        rows,
-    ))
+    cells
+}
+
+/// Runs every [`paper_cells`] cell through the pool once and splits the
+/// rows into the Table-2 matrices and the ablation rows.
+///
+/// # Errors
+///
+/// Returns the first failing cell in dispatch order if any simulation
+/// deadlocks.
+pub fn paper_sweep(
+    models: &[ThreatModel],
+    workloads: &[Workload],
+    opts: SweepOptions,
+) -> Result<PaperSweep, SweepError> {
+    let mut rows = run_cells(workloads, &paper_cells(models, workloads), opts)?.into_iter();
+    let matrices = models.iter().map(|&t| matrix_from_rows(t, workloads, rows.by_ref())).collect();
+    // What is left are the Futuristic ablation rows, in `paper_cells` order.
+    let sdo = rows.by_ref().take(workloads.len()).collect();
+    let ablated =
+        if models.contains(&ThreatModel::Futuristic) { width_workloads(workloads) } else { vec![] };
+    let widths = ablated
+        .into_iter()
+        .map(|w| (w, rows.by_ref().take(ABLATION_WIDTHS.len()).collect()))
+        .collect();
+    Ok(PaperSweep { matrices, sdo, widths })
 }
 
 /// Builds the standard bench-scale workload suite.

@@ -6,9 +6,10 @@
 //!   cache / TLB / frontend counter, the optional telemetry histograms, and
 //!   the attacker-observation digest (hex, so the full 64 bits survive
 //!   consumers that parse numbers as doubles);
-//! * [`matrix_document`] — one sweep: per-cell cycles, retired counts,
-//!   cycle stacks and baseline-normalized execution time for a whole
-//!   [`SuiteMatrix`].
+//! * [`paper_document`] — one [`PaperSweep`]: per-cell cycles, retired
+//!   counts, cycle stacks and broadcast width for every simulated cell,
+//!   once each; Table-2 matrix cells also carry their baseline-normalized
+//!   execution time.
 //!
 //! Serialization is `spt_util::Json` (hand-rolled; the workspace is
 //! offline), so documents round-trip exactly through `Json::parse`.
@@ -23,12 +24,20 @@
 //!   `mean`/`max`;
 //! * every run document and every sweep cell carries `cycle_stack`, the
 //!   head-of-ROB cycle stack (`retiring`/`frontend`/`gated`/`memory`/
-//!   `core`, summing exactly to the run's cycles).
+//!   `core`, summing exactly to the run's cycles);
+//! * every sweep cell carries `broadcast_width`, which tells apart cells
+//!   whose `config` name is the same (the width ablation).
+//!
+//! Sweep documents now have one shape, [`paper_document`]: the flat
+//! `schema` + `cells` shape the per-figure binaries wrote, plus a
+//! `threats` list. The per-matrix `threat`/`configs`/`workloads` header of
+//! the retired single-matrix document went with that document; every cell
+//! still names its workload, config and threat.
 //!
 //! A removal or meaning change of an existing field would require bumping
 //! to `spt-stats-v2`.
 
-use crate::runner::{RunRow, SuiteMatrix};
+use crate::runner::{PaperSweep, RunRow};
 use spt_mem::CacheStats;
 use spt_ooo::Machine;
 use spt_util::Json;
@@ -98,6 +107,7 @@ fn row_json(cell: &RunRow) -> Json {
         ("workload", Json::str(&cell.workload)),
         ("config", Json::str(&cell.config)),
         ("threat", Json::str(cell.threat.to_string())),
+        ("broadcast_width", Json::U64(cell.broadcast_width as u64)),
         ("cycles", Json::U64(cell.cycles)),
         ("retired", Json::U64(cell.retired)),
         ("ipc", Json::F64(cell.stats.ipc())),
@@ -108,32 +118,25 @@ fn row_json(cell: &RunRow) -> Json {
     ])
 }
 
-/// Builds the sweep stats document for a flat row list (binaries whose
-/// sweep shape is not a full Table-2 matrix — fig8/fig9/sdo/width_sweep).
-/// Cells keep the runner's deterministic dispatch order.
-pub fn rows_document(rows: &[RunRow]) -> Json {
-    Json::obj([
-        ("schema", Json::str(STATS_SCHEMA)),
-        ("cells", Json::arr(rows.iter().map(row_json))),
-    ])
-}
-
-/// Builds the sweep stats document for a completed matrix.
-pub fn matrix_document(m: &SuiteMatrix) -> Json {
-    let mut rows = Vec::with_capacity(m.workloads.len() * m.configs.len());
-    for w in 0..m.workloads.len() {
-        for c in 0..m.configs.len() {
-            let mut cell = row_json(&m.rows[w][c]);
-            cell.push("normalized", Json::F64(m.normalized(w, c)));
-            rows.push(cell);
+/// Builds the sweep stats document for a [`PaperSweep`]: the matrix cells
+/// (with `normalized`) in dispatch order, then the ablation cells.
+pub fn paper_document(sweep: &PaperSweep) -> Json {
+    let mut cells = Vec::new();
+    for m in &sweep.matrices {
+        for w in 0..m.workloads.len() {
+            for c in 0..m.configs.len() {
+                let mut cell = row_json(&m.rows[w][c]);
+                cell.push("normalized", Json::F64(m.normalized(w, c)));
+                cells.push(cell);
+            }
         }
     }
+    let ablations = sweep.sdo.iter().chain(sweep.widths.iter().flat_map(|(_, rows)| rows));
+    cells.extend(ablations.map(row_json));
     Json::obj([
         ("schema", Json::str(STATS_SCHEMA)),
-        ("threat", Json::str(m.threat.to_string())),
-        ("configs", Json::arr(m.configs.iter().map(Json::str))),
-        ("workloads", Json::arr(m.workloads.iter().map(Json::str))),
-        ("cells", Json::Arr(rows)),
+        ("threats", Json::arr(sweep.matrices.iter().map(|m| Json::str(m.threat.to_string())))),
+        ("cells", Json::Arr(cells)),
     ])
 }
 
@@ -152,7 +155,7 @@ pub fn write_json(doc: &Json, path: &Path) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{prepare_machine, run_prepared, suite_matrix, SweepOptions};
+    use crate::runner::{paper_sweep, prepare_machine, run_prepared, SweepOptions};
     use spt_core::{Config, ThreatModel};
     use spt_ooo::CycleStack;
     use spt_workloads::Scale;
@@ -185,17 +188,19 @@ mod tests {
     }
 
     #[test]
-    fn matrix_document_covers_every_cell() {
+    fn paper_document_covers_every_cell() {
         let suite = spt_workloads::ct_suite(Scale::Bench);
-        let m = suite_matrix(ThreatModel::Spectre, &suite[..1], SweepOptions::new(500).jobs(1))
-            .expect("sweep completes");
-        let doc = matrix_document(&m);
-        let back = Json::parse(&doc.to_string()).expect("round-trips");
+        let sweep =
+            paper_sweep(&[ThreatModel::Spectre], &suite[..1], SweepOptions::new(500).jobs(1))
+                .expect("sweep completes");
+        let m = &sweep.matrices[0];
+        let back = Json::parse(&paper_document(&sweep).to_string()).expect("round-trips");
         let cells = back.get("cells").and_then(Json::as_arr).unwrap();
-        assert_eq!(cells.len(), m.configs.len());
+        assert_eq!(cells.len(), m.configs.len(), "no ablation cells without Futuristic");
         let base = &cells[m.baseline_index()];
         assert!((base.get("normalized").and_then(Json::as_f64).unwrap() - 1.0).abs() < 1e-12);
         let gated = base.get("cycle_stack").and_then(|s| s.get("gated")).and_then(Json::as_u64);
         assert_eq!(gated, Some(0), "nothing is gated on the baseline");
+        assert_eq!(base.get("broadcast_width").and_then(Json::as_u64), Some(3));
     }
 }

@@ -545,6 +545,16 @@ mod tests {
     }
 
     #[test]
+    fn div_rem_semantics() {
+        assert_eq!(AluOp::Div.eval(100, 7), 14);
+        assert_eq!(AluOp::Rem.eval(100, 7), 2);
+        assert_eq!(AluOp::Div.eval(5, 0), u64::MAX, "RISC-V divide-by-zero");
+        assert_eq!(AluOp::Rem.eval(5, 0), 5);
+        assert!(AluOp::Div.is_variable_time());
+        assert!(AluOp::Div.variable_latency(u64::MAX, 3) > AluOp::Div.variable_latency(1, 3));
+    }
+
+    #[test]
     fn branch_cond_negation_partitions() {
         let cases = [
             (BranchCond::Eq, 3u64, 3u64),

@@ -1,8 +1,8 @@
 //! RISC-style 64-bit ISA for the SPT reproduction.
 //!
 //! This crate defines the instruction set simulated by `spt-ooo`, together
-//! with an assembler ([`asm::Assembler`]), a binary encoder/decoder
-//! ([`encode`]), and a reference functional interpreter ([`interp`]) used to
+//! with an assembler ([`asm::Assembler`]), a text-assembly parser
+//! ([`parse`]), and a reference functional interpreter ([`interp`]) used to
 //! validate the out-of-order pipeline: every workload must produce identical
 //! architectural results on the interpreter and on the pipeline under every
 //! protection configuration.
@@ -33,7 +33,6 @@
 //! ```
 
 pub mod asm;
-pub mod encode;
 pub mod inst;
 pub mod interp;
 pub mod parse;

@@ -1,9 +1,8 @@
-//! Property-based tests for the ISA layer: codec round-trips over the full
-//! encodable instruction space, interpreter algebraic identities, and
+//! Property-based tests for the ISA layer: operand classification over the
+//! full instruction space, interpreter algebraic identities, and
 //! sparse-memory consistency.
 
 use proptest::prelude::*;
-use spt_isa::encode::{decode, encode};
 use spt_isa::interp::SparseMem;
 use spt_isa::{AluOp, BranchCond, Inst, MemSize, Reg};
 
@@ -87,13 +86,6 @@ fn inst_strategy() -> impl Strategy<Value = Inst> {
 }
 
 proptest! {
-    /// decode(encode(i)) == i for every encodable instruction.
-    #[test]
-    fn codec_roundtrip(inst in inst_strategy()) {
-        let word = encode(inst).expect("in-range instruction encodes");
-        prop_assert_eq!(decode(word).expect("decodes"), inst);
-    }
-
     /// The branch condition and its negation partition every input pair.
     #[test]
     fn branch_negation_partitions(cond in cond_strategy(), a in any::<u64>(), b in any::<u64>()) {

@@ -38,7 +38,7 @@ use crate::sched::{RetiredLoadTable, Scheduler};
 use crate::stats::{CycleStack, MachineStats, RunOutcome, SimError, StopReason};
 use crate::telemetry::Telemetry;
 use crate::validate::SecurityValidator;
-use spt_core::{Config, Seq, ShadowTaint, StlCondition, TaintMask, UntaintKind};
+use spt_core::{Config, Seq, ShadowTaint, TaintMask, UntaintKind};
 use spt_frontend::{Checkpoint, FetchPrediction, Frontend, PredictInfo};
 use spt_isa::{Inst, Program, Reg};
 use spt_mem::{Cache, HierarchyConfig, Level, MemSystem, Tlb};
@@ -206,8 +206,6 @@ pub struct Machine {
     cycle: u64,
     halted: bool,
     rs_used: usize,
-    lq_used: usize,
-    sq_used: usize,
     stats: MachineStats,
     /// Every cycle charged to one head-of-ROB class (`charge_cycle`).
     cycle_stack: CycleStack,
@@ -285,8 +283,6 @@ impl Machine {
             cycle: 0,
             halted: false,
             rs_used: 0,
-            lq_used: 0,
-            sq_used: 0,
             stats: MachineStats::default(),
             cycle_stack: CycleStack::default(),
             last_retire_cycle: 0,
@@ -549,8 +545,8 @@ impl Machine {
         if let Some(t) = &mut self.telemetry {
             t.rob_occupancy.record(self.rob.len() as u64);
             t.rs_occupancy.record(self.rs_used as u64);
-            t.lq_occupancy.record(self.lq_used as u64);
-            t.sq_occupancy.record(self.sq_used as u64);
+            t.lq_occupancy.record(self.sched.loads.len() as u64);
+            t.sq_occupancy.record(self.sched.stores.len() as u64);
             t.mshr_inflight.record(self.mem.l1().mshrs_in_flight(self.cycle) as u64);
         }
         self.cycle += 1;
@@ -611,7 +607,6 @@ impl Machine {
                 let e = &mut self.rob[self.sched.vp_len];
                 debug_assert!(!e.vp);
                 e.vp = true;
-                e.declassified = true;
                 newly_vp.push(e.seq);
                 self.sched.vp_len += 1;
             }
@@ -746,12 +741,10 @@ impl Machine {
                 self.sched.loads.remove(&seq);
                 self.sched.fwd_loads.remove(&seq);
                 self.sched.shadow_wait.remove(&seq);
-                self.lq_used -= 1;
                 self.track_retired_load(&head);
             }
             if head.is_store() {
                 self.sched.stores.remove(&seq);
-                self.sq_used -= 1;
             }
             self.emit_inst(&head, Some(self.cycle), None);
             if head.inst.is_transmitter() {
@@ -797,7 +790,6 @@ impl Machine {
         let Protection::Spt { engine, shadow } = &self.prot else { return };
         if matches!(shadow, ShadowTaint::Off)
             || head.mem.fwd_from.is_some()
-            || !head.mem.accessed
             || head.mem.range_cleared
             || engine.dest_mask(head.seq).is_some_and(|m| m.is_clear())
         {
@@ -869,7 +861,7 @@ impl Machine {
             let (s_seq, already_public) = {
                 let l = &self.rob[i];
                 debug_assert!(l.is_load());
-                (l.mem.fwd_from.expect("tracked"), l.mem.stl.is_some_and(|c| c.is_public()))
+                (l.mem.fwd_from.expect("tracked"), l.mem.stl_public)
             };
             let public = already_public || {
                 // ② all of the load's address operands are public,
@@ -881,8 +873,7 @@ impl Machine {
                     self.sched.stores.range(s_seq..l_seq).all(|&s| engine.leak_operands_clear(s));
                 load_addr_public && stores_public
             };
-            self.rob[i].mem.stl =
-                Some(if public { StlCondition::public() } else { StlCondition::pending(1) });
+            self.rob[i].mem.stl_public = public;
             if !public {
                 continue;
             }
@@ -1140,14 +1131,8 @@ impl Machine {
                     t.on_squash_reg(new);
                 }
             }
-            if e.in_rs {
+            if e.state == ExecState::Waiting {
                 self.rs_used -= 1;
-            }
-            if e.is_load() {
-                self.lq_used -= 1;
-            }
-            if e.is_store() {
-                self.sq_used -= 1;
             }
         }
         self.rob_pos.squash_after(seq);
@@ -1314,7 +1299,6 @@ impl Machine {
         e.state = ExecState::Issued;
         e.done_at = done_at;
         e.timing.issue_cycle = Some(self.cycle);
-        e.in_rs = false;
         let seq = e.seq;
         self.rs_used -= 1;
         self.sched.ready.remove(&seq);
@@ -1413,7 +1397,6 @@ impl Machine {
         m.addr = Some(addr);
         m.value = value;
         m.fwd_from = fwd_from;
-        m.accessed = true;
         if fwd_from.is_some() {
             self.sched.fwd_loads.insert(seq);
         }
@@ -1435,7 +1418,7 @@ impl Machine {
         for &l_seq in self.sched.loads.range(seq + 1..) {
             let k = self.rob_index(l_seq).expect("tracked load is in the ROB");
             let l = &self.rob[k];
-            if l.state == ExecState::Waiting || !l.mem.accessed {
+            if l.state == ExecState::Waiting {
                 continue;
             }
             let Some(la) = l.mem.addr else { continue };
@@ -1479,13 +1462,13 @@ impl Machine {
             }
             let Some(f) = self.fetch_q.front() else { break };
             let inst = f.inst;
-            if inst.is_transmitter() {
-                if matches!(inst, Inst::Load { .. }) && self.lq_used >= self.core.lq_size {
-                    break;
-                }
-                if matches!(inst, Inst::Store { .. }) && self.sq_used >= self.core.sq_size {
-                    break;
-                }
+            let lsq_full = match inst {
+                Inst::Load { .. } => self.sched.loads.len() >= self.core.lq_size,
+                Inst::Store { .. } => self.sched.stores.len() >= self.core.sq_size,
+                _ => false,
+            };
+            if lsq_full {
+                break;
             }
             if inst.dest().is_some() && self.rf.free_count() == 0 {
                 break;
@@ -1564,11 +1547,9 @@ impl Machine {
                 self.sched.ready.insert(seq);
             }
             if entry.is_load() {
-                self.lq_used += 1;
                 self.sched.loads.insert(seq);
             }
             if entry.is_store() {
-                self.sq_used += 1;
                 self.sched.stores.insert(seq);
             }
             if entry.inst.is_control_flow() && !entry.resolved {

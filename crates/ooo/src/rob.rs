@@ -1,13 +1,14 @@
 //! Reorder buffer entry types.
 
-use spt_core::{PhysReg, Seq, StlCondition};
+use spt_core::{PhysReg, Seq};
 use spt_frontend::{Checkpoint, PredictInfo};
 use spt_isa::{Inst, Reg};
 
 /// Execution status of an in-flight instruction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecState {
-    /// Waiting in the reservation station for operands / protection.
+    /// Waiting in the reservation station for operands / protection (the
+    /// entry holds an RS slot exactly while in this state).
     Waiting,
     /// Issued to an execution unit; completes at `done_at`.
     Issued,
@@ -26,13 +27,12 @@ pub struct MemState {
     pub value: u64,
     /// Loads: the store that forwarded the data, if any.
     pub fwd_from: Option<Seq>,
-    /// Loads: the `STLPublic` condition for the forwarding pair (§6.7).
-    pub stl: Option<StlCondition>,
+    /// Loads: `STLPublic` (§6.7) held for the forwarding pair when last
+    /// checked; it stays true once set.
+    pub stl_public: bool,
     /// Stores: the oldest younger load that executed with stale data; the
     /// squash is deferred until the implicit branch is public (§6.7).
     pub pending_violation: Option<Seq>,
-    /// Loads: the access has touched the cache (state change happened).
-    pub accessed: bool,
     /// Loads: the post-hoc shadow clear (§6.8 rule ②) already ran.
     pub range_cleared: bool,
     /// Loads: executed obliviously (SDO policy): fixed latency, no cache
@@ -79,8 +79,6 @@ pub struct RobEntry {
     pub done_at: u64,
     /// Computed result (for register-writing instructions).
     pub result: u64,
-    /// Whether the instruction still occupies a reservation-station slot.
-    pub in_rs: bool,
     /// Number of source operands still waiting on an unready physical
     /// register (scheduler wakeup bookkeeping; duplicated sources count
     /// once per slot). The entry sits in the ready queue iff it is
@@ -103,8 +101,6 @@ pub struct RobEntry {
     pub resolved: bool,
     /// Reached the visibility point under the configured threat model.
     pub vp: bool,
-    /// VP declassification has been performed for this entry.
-    pub declassified: bool,
     /// Load/store state.
     pub mem: MemState,
     /// Stage timestamps for pipeline tracing.
@@ -142,7 +138,6 @@ impl RobEntry {
             state: ExecState::Waiting,
             done_at: 0,
             result: 0,
-            in_rs: true,
             pending_srcs: 0,
             checkpoint,
             pred_next,
@@ -152,7 +147,6 @@ impl RobEntry {
             actual_taken: false,
             resolved: auto_resolved,
             vp: false,
-            declassified: false,
             mem: MemState { bytes, ..MemState::default() },
             timing: StageTiming::default(),
         }

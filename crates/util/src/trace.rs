@@ -33,8 +33,8 @@
 //!
 //! # SPT event lines
 //!
-//! A sink built with [`O3PipeViewSink::with_events`] additionally writes
-//! one `SPTEvent:` line per SPT security event, in stream order (always
+//! [`O3PipeViewSink`] additionally writes one `SPTEvent:` line per SPT
+//! security event, in stream order (always
 //! *between* instruction blocks, never inside one, because each block is
 //! written atomically at retire/squash):
 //!
@@ -52,7 +52,6 @@
 //! interleaving, so emit → parse → [`ParsedTrace::reemit`] is
 //! byte-identical.
 
-use crate::json::Json;
 use std::fmt;
 use std::io::{self, Write};
 
@@ -253,25 +252,20 @@ pub fn o3_event_line(cycle: u64, ev: &SptTraceEvent) -> String {
     }
 }
 
-/// Writes gem5 O3PipeView records to any [`Write`] target, optionally
-/// interleaved with `SPTEvent:` lines (see the module docs).
+/// Writes gem5 O3PipeView records to any [`Write`] target, interleaved
+/// with `SPTEvent:` lines (see the module docs).
 pub struct O3PipeViewSink<W: Write> {
     out: io::BufWriter<W>,
     error: Option<io::Error>,
-    events: bool,
 }
 
 impl<W: Write> O3PipeViewSink<W> {
-    /// Creates a sink writing pure O3PipeView record blocks to `out`.
-    pub fn new(out: W) -> Self {
-        O3PipeViewSink { out: io::BufWriter::new(out), error: None, events: false }
-    }
-
-    /// Creates a sink that also writes one `SPTEvent:` line per SPT
-    /// security event — the format the `tracediff` attribution tool
-    /// expects (viewers that key on the `O3PipeView:` prefix skip them).
+    /// Creates a sink writing O3PipeView record blocks and one `SPTEvent:`
+    /// line per SPT security event — the format the `tracediff`
+    /// attribution tool expects (viewers that key on the `O3PipeView:`
+    /// prefix skip the event lines).
     pub fn with_events(out: W) -> Self {
-        O3PipeViewSink { out: io::BufWriter::new(out), error: None, events: true }
+        O3PipeViewSink { out: io::BufWriter::new(out), error: None }
     }
 
     fn write_str(&mut self, s: &str) {
@@ -290,10 +284,8 @@ impl<W: Write> TraceSink for O3PipeViewSink<W> {
     }
 
     fn event(&mut self, cycle: u64, ev: &SptTraceEvent) {
-        if self.events {
-            let line = o3_event_line(cycle, ev);
-            self.write_str(&line);
-        }
+        let line = o3_event_line(cycle, ev);
+        self.write_str(&line);
     }
 
     fn flush(&mut self) -> io::Result<()> {
@@ -708,17 +700,6 @@ pub fn validate_o3_trace(text: &str) -> Result<O3TraceSummary, String> {
     parse_o3_trace(text).map(|t| t.summary())
 }
 
-/// Renders a trace-validation summary as JSON (used by the CI gate's
-/// machine-readable output).
-pub fn o3_summary_json(s: &O3TraceSummary) -> Json {
-    Json::obj([
-        ("instructions", Json::U64(s.instructions)),
-        ("retired", Json::U64(s.retired)),
-        ("squashed", Json::U64(s.squashed)),
-        ("events", Json::U64(s.events)),
-    ])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -751,7 +732,7 @@ mod tests {
     fn o3_emitter_output_validates() {
         let mut buf = Vec::new();
         {
-            let mut sink = O3PipeViewSink::new(&mut buf);
+            let mut sink = O3PipeViewSink::with_events(&mut buf);
             sink.inst(&rec(0));
             sink.inst(&rec(1));
             sink.inst(&squashed(2));
@@ -804,7 +785,7 @@ mod tests {
     fn parse_recovers_cycles_exactly() {
         let mut buf = Vec::new();
         {
-            let mut sink = O3PipeViewSink::new(&mut buf);
+            let mut sink = O3PipeViewSink::with_events(&mut buf);
             sink.inst(&rec(3));
             sink.inst(&squashed(4));
             sink.flush().unwrap();

@@ -73,7 +73,7 @@ fn o3_trace_is_well_formed_and_complete() {
     {
         let mut m = prepare_machine(w, cfg);
         let file = std::fs::File::create(&path).expect("create trace file");
-        m.set_trace_sink(Box::new(O3PipeViewSink::new(file)));
+        m.set_trace_sink(Box::new(O3PipeViewSink::with_events(file)));
         run_prepared(&mut m, w, cfg, BUDGET).expect("run completes");
         m.take_trace_sink().expect("sink attached").flush().expect("flush");
     }
@@ -90,8 +90,8 @@ fn o3_trace_is_well_formed_and_complete() {
 
 #[test]
 fn event_emitting_sink_is_also_zero_cost() {
-    // `O3PipeViewSink::with_events` adds SPTEvent lines to the output
-    // stream; like the plain sink, attaching it must not perturb timing.
+    // `O3PipeViewSink` adds SPTEvent lines to the output stream; attaching
+    // it must not perturb timing.
     let w = &spec_suite(Scale::Bench)[2]; // mcf: transmitter-heavy
     let cfg = Config::spt_full(ThreatModel::Futuristic);
     let plain = run_workload(w, cfg, BUDGET).expect("plain run completes");

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use spt_repro::core::{Config, ThreatModel};
 use spt_repro::isa::asm::Assembler;
 use spt_repro::isa::interp::Interp;
-use spt_repro::isa::{AluOp, BranchCond, Inst, MemSize, Program, Reg};
+use spt_repro::isa::{AluOp, BranchCond, MemSize, Program, Reg};
 use spt_repro::ooo::{CoreConfig, Machine, RunLimits};
 
 const SCRATCH: u64 = 0x8000;
@@ -205,17 +205,4 @@ proptest! {
         }
     }
 
-    #[test]
-    fn encode_decode_roundtrip_random_programs(
-        ops in proptest::collection::vec(op_strategy(), 1..40)
-    ) {
-        use spt_repro::isa::encode::{decode, encode};
-        let program = build(&ops);
-        for &inst in program.insts() {
-            let word = encode(inst).expect("encodable");
-            prop_assert_eq!(decode(word).expect("decodable"), inst);
-        }
-        // Halt is a fixed point of the codec and terminates every program.
-        prop_assert_eq!(program.insts().last(), Some(&Inst::Halt));
-    }
 }
