@@ -6,7 +6,8 @@
 //!
 //! * measure (default): run the basket, print a table, write `--out`;
 //! * `--baseline FILE`: measure, then embed FILE as the "before" side and
-//!   per-config speedups into the emitted document;
+//!   per-config speedups (geomean retired instructions/s) into the emitted
+//!   document;
 //! * `--validate FILE`: no simulation — parse FILE and check it against
 //!   the schema (CI's artifact gate).
 
@@ -92,13 +93,13 @@ fn main() {
         "simbench: budget {} / iters {} / jobs {} / threat {}",
         m.budget, m.iters, m.jobs, m.threat
     );
-    println!("{:<22} {:>16} {:>16}", "config", "Mcycles/s (geo)", "Minstrs/s (geo)");
+    println!("{:<22} {:>16} {:>16}", "config", "Minstrs/s (geo)", "cycles skipped");
     for run in &m.configs {
         println!(
-            "{:<22} {:>16.3} {:>16.3}",
+            "{:<22} {:>16.3} {:>15.1}%",
             run.config,
-            run.geomean_cycles_per_sec() / 1e6,
-            run.geomean_retired_per_sec() / 1e6
+            run.geomean_retired_per_sec() / 1e6,
+            100.0 * run.skipped_frac()
         );
     }
 
@@ -113,7 +114,7 @@ fn main() {
             println!("{:<22} {:>16}", "config", "speedup vs base");
             for s in speedups {
                 let name = s.get("config").and_then(Json::as_str).unwrap_or("?");
-                let r = s.get("sim_cycles_per_sec_speedup").and_then(Json::as_f64).unwrap_or(0.0);
+                let r = s.get("retired_per_sec_speedup").and_then(Json::as_f64).unwrap_or(0.0);
                 println!("{name:<22} {r:>15.2}x");
             }
         }

@@ -9,6 +9,10 @@
 //! `--baseline` embeds a before/after comparison, so a single committed
 //! file carries both sides of an optimization PR.
 //!
+//! The headline figure is retired instructions per host second: since
+//! `Machine::run` skips quiet cycles, simulated cycles per second say more
+//! about how stall-heavy a workload is than about the simulator's speed.
+//!
 //! Measurement notes: each cell is run `iters` times and the *best* wall
 //! time is kept (minimum-of-N is the standard way to strip scheduler noise
 //! from a deterministic computation); the default is sequential execution
@@ -22,6 +26,18 @@ use spt_ooo::RunLimits;
 use spt_util::Json;
 use spt_workloads::{full_suite, Scale, Workload};
 use std::time::Instant;
+
+// Schema history. `spt-simbench-v1` is additive-stable: consumers must
+// ignore unknown keys. Changes so far:
+//
+// * every workload cell carries `skipped_cycles`, the cycles
+//   `Machine::run` skipped as repeats of a quiet cycle (0 in documents
+//   measured before cycle skipping, which lack the key);
+// * each `speedup` entry's ratio is `retired_per_sec_speedup` (geomean
+//   retired instructions/s, after over before); documents written before
+//   carry `sim_cycles_per_sec_speedup` instead;
+// * an embedded `baseline` is the measurement alone: its own `baseline`
+//   and `speedup` are dropped, so a document holds one before/after pair.
 
 /// Schema identifier stamped into every document this module emits.
 pub const SIMBENCH_SCHEMA: &str = "spt-simbench-v1";
@@ -82,6 +98,8 @@ pub struct Cell {
     pub cycles: u64,
     /// Instructions retired per run.
     pub retired: u64,
+    /// Cycles `Machine::run` skipped as repeats of a quiet cycle.
+    pub skipped_cycles: u64,
     /// Best-of-N host wall time for one run, in seconds.
     pub best_secs: f64,
 }
@@ -116,6 +134,13 @@ impl ConfigRun {
     /// Geometric mean of retired instructions/sec over the basket.
     pub fn geomean_retired_per_sec(&self) -> f64 {
         geomean(self.cells.iter().map(Cell::retired_per_sec))
+    }
+
+    /// Share of all simulated cycles over the basket that were skipped.
+    pub fn skipped_frac(&self) -> f64 {
+        let cycles: u64 = self.cells.iter().map(|c| c.cycles).sum();
+        let skipped: u64 = self.cells.iter().map(|c| c.skipped_cycles).sum();
+        skipped as f64 / cycles.max(1) as f64
     }
 }
 
@@ -199,7 +224,7 @@ pub fn measure(opts: SimbenchOptions) -> Result<Measurement, SweepError> {
         let (c, w) = (i / workloads.len(), i % workloads.len());
         let (cfg, wl) = (configs[c], &workloads[w]);
         let mut best = f64::INFINITY;
-        let (mut cycles, mut retired) = (0u64, 0u64);
+        let (mut cycles, mut retired, mut skipped_cycles) = (0u64, 0u64, 0u64);
         for _ in 0..opts.iters.max(1) {
             let mut m = prepare_machine(wl, cfg);
             let start = Instant::now();
@@ -213,16 +238,18 @@ pub fn measure(opts: SimbenchOptions) -> Result<Measurement, SweepError> {
             best = best.min(secs);
             cycles = out.cycles;
             retired = out.retired;
+            skipped_cycles = m.skipped_cycles();
         }
         if opts.verbose {
             eprintln!(
-                "  {} / {}: {:.2} Mcycles/s",
+                "  {} / {}: {:.3} Minstrs/s, {:.1} % of cycles skipped",
                 cfg.name(),
                 wl.name,
-                cycles as f64 / best / 1e6
+                retired as f64 / best / 1e6,
+                100.0 * skipped_cycles as f64 / cycles.max(1) as f64
             );
         }
-        Ok(Cell { workload: wl.name.to_string(), cycles, retired, best_secs: best })
+        Ok(Cell { workload: wl.name.to_string(), cycles, retired, skipped_cycles, best_secs: best })
     });
 
     let mut runs = Vec::with_capacity(configs.len());
@@ -266,6 +293,7 @@ pub fn document(m: &Measurement) -> Json {
                                 ("workload", Json::str(c.workload.clone())),
                                 ("cycles", Json::U64(c.cycles)),
                                 ("retired", Json::U64(c.retired)),
+                                ("skipped_cycles", Json::U64(c.skipped_cycles)),
                                 ("best_secs", Json::F64(c.best_secs)),
                                 ("sim_cycles_per_sec", Json::F64(c.cycles_per_sec())),
                                 ("retired_per_sec", Json::F64(c.retired_per_sec())),
@@ -340,6 +368,14 @@ pub fn validate(doc: &Json) -> Result<(), SchemaError> {
                     )));
                 }
             }
+            if cell.get("skipped_cycles").is_some() {
+                let skipped = number(cell, "skipped_cycles")?;
+                if !(0.0..number(cell, "cycles")?).contains(&skipped) {
+                    return Err(SchemaError(format!(
+                        "`skipped_cycles` must lie in [0, cycles), got {skipped}"
+                    )));
+                }
+            }
         }
     }
     if let Some(baseline) = doc.get("baseline") {
@@ -349,8 +385,9 @@ pub fn validate(doc: &Json) -> Result<(), SchemaError> {
 }
 
 /// Embeds a baseline (pre-optimization) document and the per-config
-/// speedups into a fresh measurement document, producing the committed
-/// before/after artifact.
+/// speedups in geomean retired instructions/s into a fresh measurement
+/// document, producing the committed before/after artifact. The
+/// baseline's own `baseline` and `speedup` are dropped.
 ///
 /// # Errors
 ///
@@ -380,16 +417,22 @@ pub fn with_baseline(mut doc: Json, baseline: &Json) -> Result<Json, SchemaError
                     .ok_or_else(|| {
                         SchemaError(format!("baseline has no `{name}` config to compare against"))
                     })?;
-                let ratio = number(a, "geomean_sim_cycles_per_sec")?
-                    / number(b, "geomean_sim_cycles_per_sec")?;
+                let ratio =
+                    number(a, "geomean_retired_per_sec")? / number(b, "geomean_retired_per_sec")?;
                 Ok(Json::obj([
                     ("config", Json::str(name)),
-                    ("sim_cycles_per_sec_speedup", Json::F64(ratio)),
+                    ("retired_per_sec_speedup", Json::F64(ratio)),
                 ]))
             })
             .collect::<Result<_, SchemaError>>()?
     };
-    doc.push("baseline", baseline.clone());
+    let measurement = match baseline {
+        Json::Obj(fields) => Json::Obj(
+            fields.iter().filter(|(k, _)| k != "baseline" && k != "speedup").cloned().collect(),
+        ),
+        _ => unreachable!("validated above"),
+    };
+    doc.push("baseline", measurement);
     doc.push("speedup", Json::arr(speedups));
     Ok(doc)
 }
@@ -429,7 +472,7 @@ mod tests {
         if let Json::Arr(items) = speedups {
             assert_eq!(items.len(), 4);
             for s in items {
-                if let Some(Json::F64(r)) = s.get("sim_cycles_per_sec_speedup") {
+                if let Some(Json::F64(r)) = s.get("retired_per_sec_speedup") {
                     assert!((r - 1.0).abs() < 1e-9, "self-speedup must be 1.0, got {r}");
                 } else {
                     panic!("speedup entry missing ratio");
@@ -438,6 +481,31 @@ mod tests {
         } else {
             panic!("speedup is not an array");
         }
+        // Embedding a before/after document keeps only its measurement.
+        let again = with_baseline(doc.clone(), &merged).expect("merged documents embed");
+        let inner = again.get("baseline").expect("baseline embedded");
+        assert!(inner.get("baseline").is_none() && inner.get("speedup").is_none());
+        assert_eq!(inner.to_string(), doc.to_string());
+    }
+
+    #[test]
+    fn cells_report_skipped_cycles() {
+        let m = tiny_measurement();
+        let doc = document(&m);
+        for run in &m.configs {
+            assert!(run.cells.iter().all(|c| c.skipped_cycles < c.cycles), "{}", run.config);
+            assert!((0.0..1.0).contains(&run.skipped_frac()));
+        }
+        assert!(
+            m.configs.iter().any(|run| run.cells.iter().any(|c| c.skipped_cycles > 0)),
+            "some basket cell skips cycles"
+        );
+        // The key is optional (older documents lack it) but bounded.
+        let text = doc.to_string();
+        let bad = text.replacen("\"skipped_cycles\":", "\"skipped_cycles\":99999999999,\"x\":", 1);
+        assert!(validate(&Json::parse(&bad).unwrap()).is_err());
+        let without = text.replace("\"skipped_cycles\":", "\"skipped_before\":");
+        validate(&Json::parse(&without).unwrap()).expect("documents without the key validate");
     }
 
     #[test]

@@ -510,6 +510,34 @@ impl TaintEngine {
         }
     }
 
+    /// Whether a [`Self::step`] now would do nothing but age the
+    /// retire-grace queue: no taint state changed since the last step, and
+    /// no untaint is waiting for the bus.
+    pub fn quiescent(&self) -> bool {
+        !self.dirty && self.orphans.is_empty() && self.pending_q.is_empty()
+    }
+
+    /// Steps from now until the oldest retire-grace entry expires (at
+    /// least 1), or `None` when nothing is in grace or steps never age it
+    /// (no forward untainting).
+    pub fn steps_to_grace_expiry(&self) -> Option<u64> {
+        if !self.cfg.untaint.forward() {
+            return None;
+        }
+        self.grace_q.front().map(|&(_, expire_at)| expire_at - self.steps)
+    }
+
+    /// Accounts for `n` steps of a quiescent engine in which no grace entry
+    /// expires: each would only have advanced the aging counter.
+    pub fn skip_quiet_steps(&mut self, n: u64) {
+        if !self.cfg.untaint.forward() {
+            return;
+        }
+        debug_assert!(self.quiescent());
+        debug_assert!(self.steps_to_grace_expiry().is_none_or(|d| d > n));
+        self.steps += n;
+    }
+
     /// Removes all slots with `seq >= from` (squash recovery). Their
     /// pending untaints are dropped: a squashed instruction's inference
     /// never happened architecturally.
@@ -991,6 +1019,39 @@ mod tests {
             e.step();
         }
         assert_eq!(e.live_slots(), 0);
+    }
+
+    #[test]
+    fn quiet_steps_skip_to_the_grace_deadline() {
+        let mut stepped = full();
+        stepped.rename(ri(1, InstClass::Invertible2, &[(2, Data), (3, Data)], Some(10)));
+        assert!(stepped.quiescent(), "a rename alone gives the rules nothing new");
+        stepped.retire(1);
+        assert_eq!(stepped.steps_to_grace_expiry(), Some(u64::from(TaintEngine::RETIRE_GRACE) + 1));
+        let mut skipped = stepped.clone();
+        // Skip up to the step before expiry, then step into it: the same
+        // result as stepping every time.
+        let d = skipped.steps_to_grace_expiry().unwrap();
+        skipped.skip_quiet_steps(d - 1);
+        assert_eq!(skipped.steps_to_grace_expiry(), Some(1));
+        assert_eq!(skipped.live_slots(), 1);
+        skipped.step();
+        for _ in 0..d {
+            stepped.step();
+        }
+        assert_eq!(skipped.live_slots(), 0);
+        assert_eq!(stepped.live_slots(), 0);
+        assert_eq!(skipped.steps, stepped.steps);
+        assert_eq!(skipped.steps_to_grace_expiry(), None);
+        // Declassification is not quiet until the bus has drained.
+        let mut e = full();
+        e.rename(ri(2, InstClass::Load, &[(3, Address)], Some(11)));
+        e.declassify_vp(2);
+        assert!(!e.quiescent());
+        e.step();
+        assert!(!e.quiescent(), "a step that broadcast stays dirty");
+        e.step();
+        assert!(e.quiescent());
     }
 
     #[test]

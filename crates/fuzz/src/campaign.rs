@@ -10,7 +10,9 @@
 use std::fmt::Write as _;
 
 use crate::generator::generate;
-use crate::harness::{differential, relational, reproduces, Finding, FindingKind, THREATS};
+use crate::harness::{
+    acceleration, differential, relational, reproduces, Finding, FindingKind, THREATS,
+};
 use crate::{repro, shrink};
 use spt_core::Config;
 use spt_util::{default_jobs, run_indexed};
@@ -78,6 +80,7 @@ fn run_iter(seed: u64, iter: usize) -> IterOut {
     let mut findings = differential(&tp);
     let rel = relational(&tp);
     findings.extend(rel.findings);
+    findings.extend(acceleration(&tp));
     let findings = findings
         .into_iter()
         .map(|f| {
@@ -109,12 +112,13 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
     let outs = run_indexed(cfg.iters, cfg.jobs, move |i| run_iter(seed, i));
 
     let mut repros = Vec::new();
-    let mut counts = [0usize; 4]; // indexed by FindingKind order below
+    let mut counts = [0usize; 5]; // indexed by FindingKind order below
     let kinds = [
         FindingKind::Differential,
         FindingKind::RelationalLeak,
         FindingKind::Timeout,
         FindingKind::Generator,
+        FindingKind::Acceleration,
     ];
     let (mut arch_leaks, mut secret_reads) = (0usize, 0usize);
     let (mut unsafe_checked, mut unsafe_diverged) = (0usize, 0usize);
@@ -170,6 +174,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
     let _ = writeln!(text, "relational leaks (protected)    : {}", counts[1]);
     let _ = writeln!(text, "timeouts/deadlocks              : {}", counts[2]);
     let _ = writeln!(text, "generator anomalies             : {}", counts[3]);
+    let _ = writeln!(text, "run vs step_cycle mismatches    : {}", counts[4]);
     for r in &repros {
         let _ = writeln!(text, "FINDING {}: {}", r.file_name, r.summary);
     }

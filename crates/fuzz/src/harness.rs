@@ -6,7 +6,7 @@ use spt_core::{Config, ProtectionKind, ThreatModel};
 use spt_isa::interp::{Interp, LeakEvent, LeakKind, SparseMem};
 use spt_isa::Reg;
 use spt_mem::{HierarchyConfig, MemSystem};
-use spt_ooo::{CoreConfig, Machine, RunLimits};
+use spt_ooo::{CoreConfig, CycleStack, Machine, RunLimits, StopReason};
 
 /// Step budget for the reference interpreter.
 pub const INTERP_BUDGET: u64 = 400_000;
@@ -31,6 +31,9 @@ pub enum FindingKind {
     /// The generator's own invariants failed (interpreter error, or the
     /// taint discipline mis-predicted whether the leak trace diverges).
     Generator,
+    /// [`Machine::run`], which skips quiet cycles, disagreed with stepping
+    /// every cycle through [`Machine::step_cycle`].
+    Acceleration,
 }
 
 impl FindingKind {
@@ -41,6 +44,7 @@ impl FindingKind {
             FindingKind::RelationalLeak => "relational-leak",
             FindingKind::Timeout => "timeout",
             FindingKind::Generator => "generator",
+            FindingKind::Acceleration => "acceleration",
         }
     }
 }
@@ -110,14 +114,21 @@ pub fn run_interp(tp: &TestProgram, secret: &[u8], with_trace: bool) -> Result<I
     }
 }
 
+/// A fresh pipeline for `tp` with `secret` under `cfg`.
+fn build_machine(tp: &TestProgram, secret: &[u8], cfg: Config) -> Machine {
+    let mut mem = MemSystem::new(HierarchyConfig::default());
+    apply_memory(tp, secret, mem.store());
+    Machine::with_memory(tp.program.clone(), CoreConfig::default(), cfg, mem)
+}
+
+/// The limits of every pipeline run.
+const LIMITS: RunLimits = RunLimits { max_cycles: CYCLE_BUDGET, max_retired: u64::MAX };
+
 /// Runs the pipeline under `cfg` to completion (error on deadlock or
 /// budget exhaustion).
 pub fn run_machine(tp: &TestProgram, secret: &[u8], cfg: Config) -> Result<Machine, Finding> {
-    let mut mem = MemSystem::new(HierarchyConfig::default());
-    apply_memory(tp, secret, mem.store());
-    let mut m = Machine::with_memory(tp.program.clone(), CoreConfig::default(), cfg, mem);
-    let limits = RunLimits { max_cycles: CYCLE_BUDGET, max_retired: u64::MAX };
-    match m.run(limits) {
+    let mut m = build_machine(tp, secret, cfg);
+    match m.run(LIMITS) {
         Err(e) => Err(Finding {
             kind: FindingKind::Timeout,
             config: Some(cfg),
@@ -183,6 +194,142 @@ pub fn differential(tp: &TestProgram) -> Vec<Finding> {
                         });
                     }
                 }
+            }
+        }
+    }
+    out
+}
+
+/// Drives a fresh machine with [`Machine::step_cycle`] until
+/// [`Machine::run`] would stop under `limits`: the reference path that
+/// `run`'s cycle skipping must reproduce. Returns why it stopped, or
+/// `None` when the deadlock watchdog fired.
+pub fn run_stepped(m: &mut Machine, limits: RunLimits) -> Option<StopReason> {
+    let mut last_retire_cycle = 0;
+    loop {
+        let retired = m.stats().retired;
+        if m.halted() {
+            return Some(StopReason::Halted);
+        }
+        if m.cycle() >= limits.max_cycles {
+            return Some(StopReason::CycleBudget);
+        }
+        if retired >= limits.max_retired {
+            return Some(StopReason::RetireBudget);
+        }
+        let cycle = m.cycle();
+        m.step_cycle();
+        if m.stats().retired != retired {
+            last_retire_cycle = cycle;
+        }
+        if m.cycle() - last_retire_cycle > Machine::WATCHDOG {
+            return None;
+        }
+    }
+}
+
+/// Everything a run must reproduce exactly whether or not it skips quiet
+/// cycles.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RunSnapshot {
+    /// Why the run stopped (`None`: deadlock).
+    pub stop: Option<StopReason>,
+    /// Final cycle.
+    pub cycles: u64,
+    /// `stats().to_json()`, serialized.
+    pub stats: String,
+    /// The attacker-observation digest.
+    pub observation: u64,
+    /// The head-of-ROB cycle stack.
+    pub cycle_stack: CycleStack,
+    /// The telemetry document, serialized (empty when telemetry is off).
+    pub telemetry: String,
+}
+
+impl RunSnapshot {
+    /// Snapshots `m` after a run that stopped for `stop`.
+    pub fn of(m: &Machine, stop: Option<StopReason>) -> RunSnapshot {
+        RunSnapshot {
+            stop,
+            cycles: m.cycle(),
+            stats: m.stats().to_json().to_string(),
+            observation: m.observation_digest(),
+            cycle_stack: m.cycle_stack(),
+            telemetry: m.telemetry().map(|t| t.to_json().to_string()).unwrap_or_default(),
+        }
+    }
+
+    /// The first field in which `self` (a `run`) differs from `stepped`.
+    pub fn first_difference(&self, stepped: &RunSnapshot) -> Option<String> {
+        let fields = [
+            ("stop", format!("{:?}", self.stop), format!("{:?}", stepped.stop)),
+            ("cycles", self.cycles.to_string(), stepped.cycles.to_string()),
+            ("stats", self.stats.clone(), stepped.stats.clone()),
+            (
+                "observation digest",
+                format!("{:#018x}", self.observation),
+                format!("{:#018x}", stepped.observation),
+            ),
+            (
+                "cycle stack",
+                format!("{:?}", self.cycle_stack),
+                format!("{:?}", stepped.cycle_stack),
+            ),
+            ("telemetry", self.telemetry.clone(), stepped.telemetry.clone()),
+        ];
+        fields.into_iter().find(|(_, a, b)| a != b).map(|(what, a, b)| {
+            let (a, b) = around_first_difference(&a, &b);
+            format!("{what}: {a} (run) vs {b} (step_cycle)")
+        })
+    }
+}
+
+/// `a` and `b` cut to a few dozen bytes around their first difference
+/// (whole when short), so a finding's detail stays one readable line.
+fn around_first_difference<'a>(a: &'a str, b: &'a str) -> (&'a str, &'a str) {
+    const CONTEXT: usize = 40;
+    let at = a.bytes().zip(b.bytes()).position(|(x, y)| x != y).unwrap_or(a.len().min(b.len()));
+    let cut =
+        |s: &'a str| s.get(at.saturating_sub(CONTEXT)..(at + CONTEXT).min(s.len())).unwrap_or(s);
+    (cut(a), cut(b))
+}
+
+/// Runs one `fresh()` machine through [`Machine::run`] and another
+/// through [`run_stepped`], both with telemetry on. Returns their
+/// snapshots and the cycles `run` skipped.
+pub fn run_and_step(
+    fresh: impl Fn() -> Machine,
+    limits: RunLimits,
+) -> (RunSnapshot, RunSnapshot, u64) {
+    let mut skipped = fresh();
+    skipped.enable_telemetry();
+    let stop = skipped.run(limits).ok().map(|o| o.reason);
+    let mut stepped = fresh();
+    stepped.enable_telemetry();
+    let stepped_stop = run_stepped(&mut stepped, limits);
+    (
+        RunSnapshot::of(&skipped, stop),
+        RunSnapshot::of(&stepped, stepped_stop),
+        skipped.skipped_cycles(),
+    )
+}
+
+/// `run` versus stepping for `tp` under `cfg`: the first difference, if
+/// any.
+fn acceleration_difference(tp: &TestProgram, cfg: Config) -> Option<String> {
+    let (run, stepped, _) = run_and_step(|| build_machine(tp, &tp.secret, cfg), LIMITS);
+    run.first_difference(&stepped)
+}
+
+/// Acceleration-equivalence oracle: under every Table-2 configuration and
+/// both threat models, with telemetry on, [`Machine::run`] must end in
+/// exactly the state that stepping every cycle reaches.
+pub fn acceleration(tp: &TestProgram) -> Vec<Finding> {
+    let mut out = Vec::new();
+    for threat in THREATS {
+        for cfg in Config::table2(threat) {
+            if let Some(detail) = acceleration_difference(tp, cfg) {
+                out.push(Finding { kind: FindingKind::Acceleration, config: Some(cfg), detail });
             }
         }
     }
@@ -350,6 +497,10 @@ pub fn reproduces(tp: &TestProgram, f: &Finding) -> bool {
                 _ => false,
             }
         }
+        FindingKind::Acceleration => {
+            let cfg = f.config.expect("acceleration findings carry a config");
+            acceleration_difference(tp, cfg).is_some()
+        }
     }
 }
 
@@ -382,6 +533,36 @@ mod tests {
         assert!(rel.findings.is_empty(), "protected configs leaked: {:?}", rel.findings);
         assert!(rel.unsafe_checked);
         assert!(rel.unsafe_diverged, "gadget did not move the unsafe observation digest");
+    }
+
+    #[test]
+    fn run_matches_stepping_on_skip_witnesses() {
+        // Under the NoShadowL1 SPT configs these programs have cycles in
+        // which the pipeline makes no progress while the taint engine is
+        // not quiescent; skipping them anyway moves the telemetry.
+        for seed in [16, 124] {
+            let findings = acceleration(&generate(seed));
+            assert!(findings.is_empty(), "program {seed}: {findings:?}");
+        }
+    }
+
+    #[test]
+    fn mismatch_details_stay_short() {
+        let mut a = RunSnapshot {
+            stop: Some(StopReason::Halted),
+            cycles: 10,
+            stats: "x".repeat(500),
+            observation: 1,
+            cycle_stack: CycleStack::default(),
+            telemetry: String::new(),
+        };
+        let b = a.clone();
+        assert_eq!(a.first_difference(&b), None);
+        a.stats.replace_range(300..301, "y");
+        let detail = a.first_difference(&b).expect("stats differ");
+        assert!(detail.starts_with("stats: ") && detail.len() < 200, "{detail}");
+        a.cycles = 11;
+        assert_eq!(a.first_difference(&b).unwrap(), "cycles: 11 (run) vs 10 (step_cycle)");
     }
 
     #[test]

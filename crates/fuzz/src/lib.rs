@@ -1,6 +1,6 @@
-//! Differential and relational fuzzing of the SPT simulator.
+//! Differential, relational and acceleration fuzzing of the SPT simulator.
 //!
-//! Two complementary oracles run over the same seeded program generator:
+//! Three oracles run over the same seeded program generator:
 //!
 //! * **Differential** ([`harness::differential`]): the out-of-order
 //!   [`Machine`](spt_ooo::Machine) must reach exactly the architectural
@@ -19,6 +19,12 @@
 //!   must make its digests diverge, proving the observation channel is
 //!   sharp enough to see a real leak.
 //!
+//! * **Acceleration** ([`harness::acceleration`]): `Machine::run`
+//!   skips quiet cycles; with telemetry on, it must end in exactly the
+//!   state (cycles, stats, observation digest, cycle stack, telemetry)
+//!   that stepping every cycle through `Machine::step_cycle` reaches,
+//!   under every Table-2 configuration and both threat models.
+//!
 //! Failing programs are greedily shrunk ([`shrink`]) and rendered as
 //! replayable textual-assembly reproducers ([`repro`]) for `fuzz/corpus/`.
 
@@ -30,4 +36,4 @@ pub mod shrink;
 
 pub use campaign::{run_campaign, CampaignConfig, CampaignReport};
 pub use generator::{generate, TestProgram};
-pub use harness::{differential, relational, Finding, FindingKind, RelOutcome};
+pub use harness::{acceleration, differential, relational, Finding, FindingKind, RelOutcome};

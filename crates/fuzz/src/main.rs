@@ -1,4 +1,5 @@
-//! `spt-fuzz`: differential + relational fuzzing campaign driver.
+//! `spt-fuzz`: differential, relational and acceleration fuzzing campaign
+//! driver.
 //!
 //! ```text
 //! spt-fuzz [--seed N] [--iters N] [--jobs N] [--corpus-dir DIR]

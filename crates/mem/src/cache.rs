@@ -226,6 +226,17 @@ impl Cache {
         self.mshrs.iter().filter(|m| m.ready_at > now).count()
     }
 
+    /// The first cycle at or after `now` at which an outstanding miss
+    /// completes, i.e. [`Self::mshrs_in_flight`] next drops.
+    pub fn next_mshr_release(&self, now: u64) -> Option<u64> {
+        self.mshrs.iter().map(|m| m.ready_at).filter(|&t| t >= now).min()
+    }
+
+    /// Counts an access turned away because every MSHR is busy.
+    pub(crate) fn reject_mshr(&mut self) {
+        self.stats.mshr_rejections += 1;
+    }
+
     fn expire_mshrs(&mut self, now: u64) {
         self.mshrs.retain(|m| m.ready_at > now);
     }
@@ -241,7 +252,7 @@ impl Cache {
             return true;
         }
         if self.mshrs.len() >= self.cfg.mshrs {
-            self.stats.mshr_rejections += 1;
+            self.reject_mshr();
             return false;
         }
         self.mshrs.push(Mshr { line_addr: line, ready_at });
@@ -442,6 +453,10 @@ mod tests {
         assert_eq!(c.mshrs_in_flight(0), 2);
         assert_eq!(c.mshrs_in_flight(50), 1); // the 0x2000 miss completed
         assert_eq!(c.mshrs_in_flight(100), 0);
+        assert_eq!(c.next_mshr_release(0), Some(50));
+        assert_eq!(c.next_mshr_release(50), Some(50), "a release at now is still ahead");
+        assert_eq!(c.next_mshr_release(51), Some(100));
+        assert_eq!(c.next_mshr_release(101), None);
     }
 
     #[test]

@@ -235,6 +235,7 @@ impl MemSystem {
 
         // L1 miss: need an MSHR.
         if !self.l1.mshr_available(addr, now) {
+            self.l1.reject_mshr();
             let retry_at = self.l1.earliest_mshr_free().unwrap_or(now + 1).max(now + 1);
             return Err(Busy { retry_at });
         }
@@ -392,6 +393,23 @@ mod tests {
         assert!(err.retry_at > 0);
         // After the first completes, it succeeds.
         assert!(m.read_timed(0x10000, 8, err.retry_at).is_ok());
+    }
+
+    #[test]
+    fn busy_accesses_count_as_mshr_rejections() {
+        let mut cfg = HierarchyConfig::default();
+        cfg.l1.mshrs = 1;
+        let mut m = MemSystem::new(cfg);
+        m.read_timed(0x0, 8, 0).unwrap();
+        assert_eq!(m.l1().stats().mshr_rejections, 0);
+        // Two retries of a second miss, a read and a write, both turned away.
+        assert!(m.read_timed(0x10000, 8, 1).is_err());
+        assert!(m.write_timed(0x20000, 7, 8, 2).is_err());
+        assert_eq!(m.l1().stats().mshr_rejections, 2);
+        // A hit and a coalescing access need no MSHR and are not counted.
+        let (_, out) = m.read_timed(0x8, 8, 3).unwrap();
+        assert!(m.read_timed(0x0, 8, out.done_at).is_ok());
+        assert_eq!(m.l1().stats().mshr_rejections, 2);
     }
 
     #[test]

@@ -252,9 +252,27 @@ pub struct Machine {
     /// Opt-in occupancy/latency histograms; one null test per cycle when
     /// disabled.
     telemetry: Option<Box<Telemetry>>,
+    /// Whether the cycle being simulated changed pipeline state. A cycle
+    /// that did not, with the protection quiescent, is *quiet*: every
+    /// following cycle repeats it until the next event (see
+    /// [`Machine::run`]).
+    progress: bool,
+    /// ROB indices of the transmitters the protection gate blocked in the
+    /// cycle being simulated; with `deferred`, the per-cycle counter
+    /// effects a skip over quiet cycles replays.
+    gated: Vec<usize>,
+    /// Branch and violation resolutions deferred in the cycle being
+    /// simulated.
+    deferred: u64,
+    /// Cycles [`Machine::run`] skipped as repeats of a quiet cycle.
+    skipped_cycles: u64,
 }
 
 impl Machine {
+    /// [`Machine::run`] reports a deadlock once no instruction has retired
+    /// for more than this many cycles.
+    pub const WATCHDOG: u64 = 100_000;
+
     /// Creates a machine with the default (paper Table 1) memory hierarchy.
     pub fn new(program: Program, core: CoreConfig, prot: Config) -> Machine {
         Machine::with_memory(program, core, prot, MemSystem::new(HierarchyConfig::default()))
@@ -306,6 +324,10 @@ impl Machine {
             trace: TraceHandle::disabled(),
             taint_src: Vec::new(),
             telemetry: None,
+            progress: false,
+            gated: Vec::new(),
+            deferred: 0,
+            skipped_cycles: 0,
         }
     }
 
@@ -495,14 +517,29 @@ impl Machine {
         self.cycle_stack
     }
 
+    /// Cycles [`Machine::run`] has skipped as repeats of a quiet cycle
+    /// (included in [`Machine::cycle`]; always 0 for a machine driven by
+    /// [`Machine::step_cycle`]).
+    pub fn skipped_cycles(&self) -> u64 {
+        self.skipped_cycles
+    }
+
     /// Runs until `Halt` retires or a limit is hit.
+    ///
+    /// After a quiet cycle (no pass made progress and the protection is
+    /// quiescent) every cycle repeats it until the next event, so `run`
+    /// jumps straight there and replays the skipped cycles' counter
+    /// effects: the results are identical to calling
+    /// [`Machine::step_cycle`] until the same stop condition. A run with a
+    /// trace sink attached steps every cycle, because the sink receives
+    /// per-cycle events.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Deadlock`] if no instruction retires for an
     /// implausibly long stretch (a simulator bug, not a program outcome).
     pub fn run(&mut self, limits: RunLimits) -> Result<RunOutcome, SimError> {
-        const WATCHDOG: u64 = 100_000;
+        let skip = !self.trace.enabled();
         while !self.halted {
             if self.cycle >= limits.max_cycles {
                 return Ok(self.outcome(StopReason::CycleBudget));
@@ -511,15 +548,55 @@ impl Machine {
                 return Ok(self.outcome(StopReason::RetireBudget));
             }
             self.step_cycle();
-            if self.cycle - self.last_retire_cycle > WATCHDOG {
+            if self.cycle - self.last_retire_cycle > Self::WATCHDOG {
                 return Err(SimError::Deadlock {
                     cycle: self.cycle,
                     retired: self.stats.retired,
                     head_pc: self.rob.front().map(|e| e.pc),
                 });
             }
+            if skip && !self.progress && self.prot.quiescent() {
+                let k = self.next_event(limits.max_cycles) - self.cycle;
+                self.skip_quiet_cycles(k);
+            }
         }
         Ok(self.outcome(StopReason::Halted))
+    }
+
+    /// The first cycle from [`Machine::cycle`] on in which a quiet machine
+    /// can do something new: an instruction completes, an icache fill
+    /// ends, an L1D miss completes, the taint engine expires a
+    /// retire-grace entry, the cycle budget runs out, or the deadlock
+    /// watchdog fires.
+    fn next_event(&self, max_cycles: u64) -> u64 {
+        let now = self.cycle;
+        let mut next = max_cycles.min(self.last_retire_cycle + Self::WATCHDOG);
+        if let Some(&Reverse((done_at, _))) = self.sched.completions.peek() {
+            next = next.min(done_at);
+        }
+        if self.ifetch_stall_until >= now {
+            next = next.min(self.ifetch_stall_until);
+        }
+        let deadlines = [self.mem.l1().next_mshr_release(now), self.prot.next_deadline(now)];
+        deadlines.into_iter().flatten().fold(next, u64::min).max(now)
+    }
+
+    /// Advances over `k` repeats of the quiet cycle just simulated: only
+    /// time and the per-cycle counters move.
+    fn skip_quiet_cycles(&mut self, k: u64) {
+        if k == 0 {
+            return;
+        }
+        self.stats.transmitter_delay_cycles += k * self.gated.len() as u64;
+        for &i in &self.gated {
+            self.rob[i].timing.xmit_delay_cycles += k;
+        }
+        self.stats.resolution_delay_cycles += k * self.deferred;
+        self.charge_cycles(false, k);
+        self.prot.skip_quiet_cycles(k);
+        self.record_occupancy(k);
+        self.cycle += k;
+        self.skipped_cycles += k;
     }
 
     fn outcome(&self, reason: StopReason) -> RunOutcome {
@@ -529,6 +606,9 @@ impl Machine {
     /// Advances the machine by one cycle.
     pub fn step_cycle(&mut self) {
         let retired_before = self.stats.retired;
+        self.progress = false;
+        self.gated.clear();
+        self.deferred = 0;
         self.update_vp();
         self.retire();
         self.untaint_step();
@@ -541,24 +621,31 @@ impl Machine {
         self.rename();
         self.fetch();
         self.drain_validator();
-        self.charge_cycle(retired_before);
-        if let Some(t) = &mut self.telemetry {
-            t.rob_occupancy.record(self.rob.len() as u64);
-            t.rs_occupancy.record(self.rs_used as u64);
-            t.lq_occupancy.record(self.sched.loads.len() as u64);
-            t.sq_occupancy.record(self.sched.stores.len() as u64);
-            t.mshr_inflight.record(self.mem.l1().mshrs_in_flight(self.cycle) as u64);
-        }
+        self.charge_cycles(self.stats.retired > retired_before, 1);
+        self.record_occupancy(1);
         self.cycle += 1;
     }
 
-    /// Charges the cycle just simulated to one [`CycleStack`] class, read
-    /// from the ROB head at the end of the cycle. No class for a head
-    /// branch with deferred resolution is needed: `update_vp` runs before
-    /// `retire`, so a new head reaches the VP within one cycle.
-    fn charge_cycle(&mut self, retired_before: u64) {
+    /// Samples the telemetry occupancy histograms `n` times, for `n`
+    /// cycles from the current one with the same occupancy.
+    fn record_occupancy(&mut self, n: u64) {
+        if let Some(t) = &mut self.telemetry {
+            t.rob_occupancy.record_n(self.rob.len() as u64, n);
+            t.rs_occupancy.record_n(self.rs_used as u64, n);
+            t.lq_occupancy.record_n(self.sched.loads.len() as u64, n);
+            t.sq_occupancy.record_n(self.sched.stores.len() as u64, n);
+            t.mshr_inflight.record_n(self.mem.l1().mshrs_in_flight(self.cycle) as u64, n);
+        }
+    }
+
+    /// Charges `n` cycles to one [`CycleStack`] class: `retiring` if an
+    /// instruction retired, else the class read from the ROB head at the
+    /// end of the cycle. No class for a head branch with deferred
+    /// resolution is needed: `update_vp` runs before `retire`, so a new
+    /// head reaches the VP within one cycle.
+    fn charge_cycles(&mut self, retiring: bool, n: u64) {
         let s = &mut self.cycle_stack;
-        let class = if self.stats.retired > retired_before {
+        let class = if retiring {
             &mut s.retiring
         } else {
             match self.rob.front() {
@@ -570,7 +657,7 @@ impl Machine {
                 Some(_) => &mut s.memory,
             }
         };
-        *class += 1;
+        *class += n;
     }
 
     fn drain_validator(&mut self) {
@@ -598,6 +685,7 @@ impl Machine {
     fn update_vp(&mut self) {
         let futuristic = matches!(self.cfg.threat, spt_core::ThreatModel::Futuristic);
         let len = self.rob.len();
+        let cursor = (self.sched.ok_count, self.sched.vp_len);
         let mut newly_vp = std::mem::take(&mut self.sched.newly_vp);
         newly_vp.clear();
 
@@ -637,6 +725,7 @@ impl Machine {
             }
             self.sched.ok_count += 1;
         }
+        self.progress |= cursor != (self.sched.ok_count, self.sched.vp_len);
         let frontier = self.sched.ok_count.checked_sub(1).map(|i| self.rob[i].seq);
         self.prot.advance_vp(&newly_vp, frontier);
         self.sched.newly_vp = newly_vp;
@@ -674,6 +763,7 @@ impl Machine {
     fn note_xmit_blocked(&mut self, i: usize) {
         self.stats.transmitter_delay_cycles += 1;
         self.rob[i].timing.xmit_delay_cycles += 1;
+        self.gated.push(i);
         if self.trace.enabled() {
             let (seq, pc, cycle) = (self.rob[i].seq, self.rob[i].pc, self.cycle);
             if let Some(sink) = self.trace.sink() {
@@ -686,6 +776,7 @@ impl Machine {
     /// index `i`.
     fn note_resolution_deferred(&mut self, i: usize) {
         self.stats.resolution_delay_cycles += 1;
+        self.deferred += 1;
         if self.trace.enabled() {
             let (seq, pc, cycle) = (self.rob[i].seq, self.rob[i].pc, self.cycle);
             if let Some(sink) = self.trace.sink() {
@@ -704,6 +795,8 @@ impl Machine {
             if !(head.completed() && head.resolved && head.mem.pending_violation.is_none()) {
                 break;
             }
+            // The head either retires or its store tries the memory system.
+            self.progress = true;
             let seq = head.seq;
 
             if head.is_store() {
@@ -873,9 +966,12 @@ impl Machine {
                     self.sched.stores.range(s_seq..l_seq).all(|&s| engine.leak_operands_clear(s));
                 load_addr_public && stores_public
             };
-            self.rob[i].mem.stl_public = public;
             if !public {
                 continue;
+            }
+            if !already_public {
+                self.rob[i].mem.stl_public = true;
+                self.progress = true;
             }
             // Rule ①: forward untaint of the load output from the store's
             // data operand. If the store already retired we can no longer
@@ -930,6 +1026,7 @@ impl Machine {
                     shadow.clear_range(addr, bytes);
                     self.rob[i].mem.range_cleared = true;
                     self.sched.shadow_wait.remove(&seq);
+                    self.progress = true;
                     if let (Some(v), Some(p)) = (self.validator.as_mut(), phys) {
                         v.on_mem_inferable(addr, bytes, p);
                     }
@@ -965,6 +1062,7 @@ impl Machine {
             }
         }
         due.sort_unstable();
+        self.progress |= !due.is_empty();
         for &seq in &due {
             let i = self.rob_index(seq).expect("validated on pop");
             let e = &self.rob[i];
@@ -1070,6 +1168,7 @@ impl Machine {
             let e = &mut self.rob[i];
             e.resolved = true;
             self.sched.unresolved_cf.remove(&seq);
+            self.progress = true;
             let actual = e.actual_next.expect("executed control flow has a target");
             if actual != e.pred_next {
                 let pc = e.pc;
@@ -1108,6 +1207,7 @@ impl Machine {
                 .map(|v| (self.rob[v].pc, self.rob[v].checkpoint.clone()));
             self.rob[i].mem.pending_violation = None;
             self.sched.pending_viol.remove(&seq);
+            self.progress = true;
             let Some((pc, cp)) = victim else { continue };
             self.fe.restore(&cp);
             self.squash_after(victim_seq - 1, pc);
@@ -1302,6 +1402,7 @@ impl Machine {
         let seq = e.seq;
         self.rs_used -= 1;
         self.sched.ready.remove(&seq);
+        self.progress = true;
         self.sched.completions.push(Reverse((done_at, seq)));
     }
 
@@ -1340,7 +1441,9 @@ impl Machine {
         let (addr, bytes, seq) = (self.effective_addr(e), e.mem.bytes, e.seq);
         let Ok(forward) = self.store_forward(seq, addr, bytes) else { return false };
         // Address translation (the TLB channel, §2.1/§7.4): charged before
-        // the cache access, covered by the same transmitter gate.
+        // the cache access, covered by the same transmitter gate. It
+        // updates TLB state even when the cache access below is refused.
+        self.progress = true;
         let tlb_extra = self.dtlb.translate(addr);
         let (value, done_at) = match forward {
             Some((_, v)) if self.cfg.protected() => {
@@ -1474,6 +1577,7 @@ impl Machine {
                 break;
             }
             let f = self.fetch_q.pop_front().expect("front exists");
+            self.progress = true;
 
             // Look up sources before allocating the destination (an
             // instruction may read and write the same architectural reg).
@@ -1576,6 +1680,8 @@ impl Machine {
             if self.cycle < self.ifetch_stall_until {
                 break;
             }
+            // From here fetch looks up the icache, stalls or fetches.
+            self.progress = true;
             let pc = self.fetch_pc;
             // L1I timing: 8-byte instructions, 8 per 64-byte line.
             let line = pc / 8;

@@ -182,6 +182,30 @@ impl Protection {
         }
     }
 
+    /// Whether a cycle in which the pipeline makes no progress leaves the
+    /// defence state as it is: under SPT the taint engine must be
+    /// quiescent; Unsafe and STT change only on pipeline events.
+    pub fn quiescent(&self) -> bool {
+        match self {
+            Protection::Spt { engine, .. } => engine.quiescent(),
+            _ => true,
+        }
+    }
+
+    /// The first cycle at or after `now` (the next cycle to simulate) in
+    /// which the defence state changes on its own: the taint engine, which
+    /// steps once per cycle, expires its oldest retire-grace entry.
+    pub fn next_deadline(&self, now: u64) -> Option<u64> {
+        self.engine()?.steps_to_grace_expiry().map(|d| now + d - 1)
+    }
+
+    /// Accounts for `k` quiet cycles before [`Self::next_deadline`].
+    pub fn skip_quiet_cycles(&mut self, k: u64) {
+        if let Protection::Spt { engine, .. } = self {
+            engine.skip_quiet_steps(k);
+        }
+    }
+
     /// Whether the byte at `addr` is tainted in memory. Always true when
     /// no memory taint is tracked.
     pub fn shadow_byte_tainted(&self, addr: u64) -> bool {
@@ -270,6 +294,24 @@ mod tests {
         assert!(p.may_leak(&load_entry(6, 1, false)), "phys 1 has no speculative root");
         p.advance_vp(&[], Some(5));
         assert!(p.may_leak(&load_entry(6, 4, false)), "the frontier passed the root load");
+    }
+
+    #[test]
+    fn deadline_is_the_grace_expiry_in_cycles() {
+        for threat in [ThreatModel::Spectre, ThreatModel::Futuristic] {
+            for cfg in Config::table2(threat) {
+                let mut p = Protection::new(&cfg, 16);
+                assert!(p.quiescent(), "{cfg}");
+                // Forward-untainting SPT retires the zero register's
+                // synthetic rename at construction; its grace entry
+                // expires on the fifth step, i.e. in cycle now + 4.
+                let forward = p.engine().is_some_and(|e| e.config().untaint.forward());
+                let want = forward.then_some(14);
+                assert_eq!(p.next_deadline(10), want, "{cfg}");
+                p.skip_quiet_cycles(3);
+                assert_eq!(p.next_deadline(13), want, "{cfg}: skipping keeps the deadline");
+            }
+        }
     }
 
     #[test]

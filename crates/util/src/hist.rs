@@ -39,13 +39,22 @@ impl Histogram {
 
     /// Records one sample.
     pub fn record(&mut self, value: u64) {
+        self.record_n(value, 1);
+    }
+
+    /// Records `n` samples of `value`: the same state as `n` calls to
+    /// [`Self::record`] (none when `n` is 0).
+    pub fn record_n(&mut self, value: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
         let idx = (value / self.bucket_width) as usize;
         if idx >= self.counts.len() {
             self.counts.resize(idx + 1, 0);
         }
-        self.counts[idx] += 1;
-        self.samples += 1;
-        self.sum += value;
+        self.counts[idx] += n;
+        self.samples += n;
+        self.sum += value * n;
         self.max = self.max.max(value);
     }
 
@@ -257,6 +266,24 @@ mod tests {
         assert_eq!(h.bucket(2), 0);
         assert_eq!(h.bucket(3), 1); // 12
         assert!((h.mean() - 27.0 / 6.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn weighted_record_equals_repeated_records() {
+        let mut one_by_one = Histogram::new(4);
+        let mut weighted = Histogram::new(4);
+        for (v, n) in [(3, 5), (0, 1), (17, 1000), (9, 0), (3, 2)] {
+            for _ in 0..n {
+                one_by_one.record(v);
+            }
+            weighted.record_n(v, n);
+        }
+        assert_eq!(weighted, one_by_one);
+        assert_eq!(weighted.to_json().to_string(), one_by_one.to_json().to_string());
+        // A zero weight leaves an empty histogram empty (no bucket grows).
+        let mut empty = Histogram::new(4);
+        empty.record_n(40, 0);
+        assert_eq!(empty, Histogram::new(4));
     }
 
     #[test]

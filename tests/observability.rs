@@ -1,8 +1,10 @@
 //! Observability-layer guarantees:
 //!
 //! * attaching a trace sink and enabling telemetry is *measurement only* —
-//!   cycle counts and attacker-observation digests are bit-identical to a
-//!   plain run of the same (workload, config) cell;
+//!   cycle counts, stats and attacker-observation digests are
+//!   bit-identical to a plain run of the same (workload, config) cell. A
+//!   traced run steps every cycle while a plain run skips quiet ones, so
+//!   this also checks skipping against stepping;
 //! * the emitted trace is well-formed O3PipeView and covers every retired
 //!   and squashed instruction;
 //! * a wedged program surfaces as a [`SweepError`] wrapping
@@ -31,6 +33,7 @@ fn observed_configs() -> Vec<Config> {
 fn tracing_and_telemetry_are_zero_cost() {
     let mut workloads = vec![ct_suite(Scale::Bench)[1].clone()]; // chacha20
     workloads.push(spec_suite(Scale::Bench)[1].clone()); // branchy SPEC proxy
+    let mut skipped = 0;
     for w in &workloads {
         for cfg in observed_configs() {
             let plain = run_workload(w, cfg, BUDGET).expect("plain run completes");
@@ -44,11 +47,19 @@ fn tracing_and_telemetry_are_zero_cost() {
             assert_eq!(plain.cycles, row.cycles, "{} under {cfg}: cycle count changed", w.name);
             assert_eq!(plain.retired, row.retired, "{} under {cfg}: retired changed", w.name);
             assert_eq!(
+                plain.stats.to_json().to_string(),
+                row.stats.to_json().to_string(),
+                "{} under {cfg}: stats changed with tracing on",
+                w.name
+            );
+            assert_eq!(observed.skipped_cycles(), 0, "a traced run steps every cycle");
+            assert_eq!(
                 plain.cycle_stack, row.cycle_stack,
                 "{} under {cfg}: cycle stack changed with tracing on",
                 w.name
             );
             let _ = m.run(spt_repro::ooo::RunLimits::retired(BUDGET)).expect("digest run");
+            skipped += m.skipped_cycles();
             assert_eq!(
                 m.observation_digest(),
                 observed.observation_digest(),
@@ -61,6 +72,7 @@ fn tracing_and_telemetry_are_zero_cost() {
             );
         }
     }
+    assert!(skipped > 0, "no plain run skipped a cycle: nothing was compared with stepping");
 }
 
 #[test]
